@@ -59,6 +59,19 @@ struct BlockScratch {
 }
 
 impl BlockScratch {
+    /// An arena sized for a full `suite.block` of columns, so the smaller
+    /// tail block and every full block fit it without growing.
+    fn for_block(suite: &MlSuite) -> Self {
+        let b = suite.block.max(1);
+        let mut s = BlockScratch {
+            cnn: CnnScratch::for_batch(&suite.cnn, b),
+            mlp: MlpScratch::for_batch(&suite.mlp, b),
+            ..BlockScratch::default()
+        };
+        s.ensure(b, suite.nlev, suite.mlp.n_in, suite.mlp.n_out);
+        s
+    }
+
     fn ensure(&mut self, b: usize, nlev: usize, n_in_mlp: usize, n_out_mlp: usize) {
         let want = b * CNN_INPUT_CHANNELS * nlev;
         if self.xs_cnn.len() < want {
@@ -77,8 +90,9 @@ impl BlockScratch {
 
 /// A free-list of `BlockScratch` arenas shared (via `Arc`) by every clone
 /// of a suite. Workers pop an arena per block and push it back when done;
-/// one arena is created per *concurrently active* worker, after which the
-/// pool is in steady state and [`Self::alloc_events`] stops moving.
+/// one arena is created per *concurrently active* worker, sized for a full
+/// block at creation, after which the pool is in steady state and
+/// [`Self::alloc_events`] stops moving.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     free: Mutex<Vec<BlockScratch>>,
@@ -86,11 +100,11 @@ pub struct ScratchPool {
 }
 
 impl ScratchPool {
-    fn take(&self) -> BlockScratch {
+    fn take(&self, suite: &MlSuite) -> BlockScratch {
         let popped = self.free.lock().unwrap().pop();
         popped.unwrap_or_else(|| {
             self.created.fetch_add(1, Ordering::Relaxed);
-            BlockScratch::default()
+            BlockScratch::for_block(suite)
         })
     }
 
@@ -392,7 +406,7 @@ impl MlSuite {
                 .run_with_bytes("ml_physics_blocks", n_blocks, bytes_per_block, |bi| {
                     let lo = bi * block;
                     let hi = (lo + block).min(n);
-                    let mut scratch = self.scratch.take();
+                    let mut scratch = self.scratch.take(self);
                     self.step_block(cols, lo, hi, &out_view, &mut scratch);
                     self.scratch.put(scratch);
                 });

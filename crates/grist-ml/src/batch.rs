@@ -178,6 +178,15 @@ impl CnnScratch {
         Self::default()
     }
 
+    /// An arena sized up front for batches of up to `b` samples of `net`,
+    /// so no later batch of that size or smaller grows it (one event).
+    pub fn for_batch(net: &TendencyCnn, b: usize) -> Self {
+        let mut s = Self::default();
+        let (col_n, act_n) = net.scratch_lens(b);
+        s.ensure(col_n, act_n);
+        s
+    }
+
     /// Number of times any buffer here had to (re)allocate. Constant across
     /// calls ⇒ the steady-state loop is allocation-free.
     pub fn grows(&self) -> u64 {
@@ -213,6 +222,14 @@ pub struct MlpScratch {
 impl MlpScratch {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// See [`CnnScratch::for_batch`].
+    pub fn for_batch(net: &RadiationMlp, b: usize) -> Self {
+        let mut s = Self::default();
+        let (xt_n, h_n, out_n) = net.scratch_lens(b);
+        s.ensure(xt_n, h_n, out_n);
+        s
     }
 
     /// See [`CnnScratch::grows`].
@@ -271,6 +288,17 @@ impl ColumnScratch {
 }
 
 impl TendencyCnn {
+    /// [`CnnScratch`] lengths (im2col panel, activation plane) for a batch
+    /// of `b` samples.
+    fn scratch_lens(&self, b: usize) -> (usize, usize) {
+        let row_len = b * self.nlev;
+        let ch = self.channels;
+        (
+            (3 * ch).max(3 * CNN_INPUT_CHANNELS) * row_len,
+            ch.max(CNN_OUTPUT_CHANNELS) * row_len,
+        )
+    }
+
     /// Batched inference on `b` *normalized* samples.
     ///
     /// `xs` is the packed stage matrix `[b × 5·nlev]` (row-major per
@@ -298,8 +326,7 @@ impl TendencyCnn {
         }
         let row_len = b * self.nlev;
         let ch = self.channels;
-        let col_n = (3 * ch).max(3 * CNN_INPUT_CHANNELS) * row_len;
-        let act_n = ch.max(CNN_OUTPUT_CHANNELS) * row_len;
+        let (col_n, act_n) = self.scratch_lens(b);
         s.ensure(col_n, act_n);
         let stage = SampleLayout::stage(self.nlev, CNN_INPUT_CHANNELS);
         let act = SampleLayout::batch_act(b, self.nlev);
@@ -338,6 +365,12 @@ impl TendencyCnn {
 }
 
 impl RadiationMlp {
+    /// [`MlpScratch`] lengths (input panel, activation panel, output) for a
+    /// batch of `b` samples.
+    fn scratch_lens(&self, b: usize) -> (usize, usize, usize) {
+        (self.n_in * b, self.width * b, self.n_out * b)
+    }
+
     /// Batched inference on `b` *normalized* samples: `xs` is `[b × n_in]`
     /// row-major, `ys` receives `[b × n_out]` normalized outputs. Bitwise
     /// identical to calling [`RadiationMlp::infer`] per sample.
@@ -360,7 +393,8 @@ impl RadiationMlp {
         if b == 0 {
             return;
         }
-        s.ensure(self.n_in * b, self.width * b, self.n_out * b);
+        let (xt_n, h_n, out_n) = self.scratch_lens(b);
+        s.ensure(xt_n, h_n, out_n);
         let MlpScratch { xt, h, z, out, .. } = s;
         let xt = &mut xt[..self.n_in * b];
         for smp in 0..b {

@@ -9,8 +9,9 @@
 //!   Fig. 6 thrashing analysis.
 //! * [`distributor`] — the memory-address-distributing pool allocator that
 //!   fixes the thrashing (§3.3.3).
-//! * [`swgomp`] — the SWGOMP job-server thread hierarchy (Fig. 5): MPE
-//!   spawns team heads, team heads spawn team members, on real threads.
+//! * [`swgomp`] — the SWGOMP job server (Fig. 5): the Fig. 5 spawn
+//!   accounting at the modeled `n_cpes` width, executed by a fork-join pool
+//!   of `min(n_cpes, available_parallelism)` host threads.
 //! * [`omnicopy`](mod@omnicopy) — LDM scratch arena + DMA-aware copy (§3.3.2).
 //! * [`perf`] — the roofline model behind Fig. 9 (compute-bound MPE,
 //!   bandwidth-bound CPE cluster, f32 traffic halving).

@@ -7,7 +7,9 @@
 //! group. [`Substrate`] packages that choice: either the loop runs serially
 //! on the "MPE" (the calling thread), or it is shipped through
 //! [`JobServer::target_parallel_for`] — the `!$omp target` path — chunked to
-//! emulate CPE teams.
+//! emulate CPE teams. The modeled width `n_cpes` sets the chunking, the job
+//! stats and the DMA accounting; the job server runs the chunks on
+//! `min(n_cpes, available_parallelism)` host threads.
 //!
 //! Kernels are *named* at the dispatch site; the substrate records wall
 //! time, invocation counts, dispatched items, and attributed DMA bytes per
@@ -266,8 +268,9 @@ impl Substrate {
         }
     }
 
-    /// Offload target: a persistent [`JobServer`] with `n_cpes` workers and
-    /// the paper's address-distributing allocation policy.
+    /// Offload target: a persistent [`JobServer`] modeling `n_cpes` CPEs
+    /// (on `min(n_cpes, available_parallelism)` host threads) and the
+    /// paper's address-distributing allocation policy.
     pub fn cpe_teams(n_cpes: usize) -> Self {
         Substrate::with_policy(n_cpes, AllocPolicy::Distributed)
     }
@@ -330,7 +333,8 @@ impl Substrate {
         self.inner.kind == ExecTargetKind::CpeTeams
     }
 
-    /// Worker count of the offload target; 1 for the serial target (the
+    /// Modeled CPE count of the offload target (which sets chunking and DMA
+    /// accounting, not the host thread count); 1 for the serial target (the
     /// MPE itself).
     pub fn n_cpes(&self) -> usize {
         self.inner.server.as_ref().map_or(1, |s| s.n_cpes)
@@ -358,8 +362,10 @@ impl Substrate {
     }
 
     /// Dispatch `0..n_items`, untimed. Serial target runs in order on the
-    /// calling thread; CpeTeams ships one team-head job whose team works the
-    /// loop in chunks of `n / (4 · n_cpes)` (the workshare chunking idiom).
+    /// calling thread; CpeTeams publishes one job through
+    /// [`JobServer::target_parallel_for`] whose host workers claim the loop
+    /// in chunks of `n / (4 · n_cpes)` (the workshare chunking idiom, at the
+    /// modeled width) while the calling MPE waits.
     pub fn parallel_for<F: Fn(usize) + Sync>(&self, n_items: usize, f: &F) {
         match &self.inner.server {
             None => {
@@ -487,11 +493,13 @@ impl Substrate {
     }
 
     /// The clean dispatch path: execute on the configured target and record
-    /// kernel stats plus offload/DMA counters. With tracing enabled this
-    /// also emits one [`EventKind::Kernel`] event on the dispatching thread,
-    /// per-chunk [`EventKind::Chunk`] events on the worker lanes (attributed
-    /// to the dispatcher's rank), and a [`EventKind::Dma`] instant carrying
-    /// the modeled payload.
+    /// kernel stats plus offload/DMA counters. `dma.transactions` counts one
+    /// transaction per chunk at the modeled width `n_cpes`, whatever the host
+    /// width. With tracing enabled this also emits one [`EventKind::Kernel`]
+    /// event on the dispatching thread, per-chunk [`EventKind::Chunk`]
+    /// events on the worker lanes — chunks never run on the dispatching
+    /// thread — attributed to the dispatcher's rank, and a
+    /// [`EventKind::Dma`] instant carrying the modeled payload.
     fn dispatch_recorded<F: Fn(usize) + Sync>(
         &self,
         name: &'static str,

@@ -1,8 +1,9 @@
 //! The Fig. 4 / Fig. 5 story as a runnable demo: take the paper's example
 //! kernel (`tend_grad_ke_at_edge`), run it serially "on the MPE", then
-//! offload it through the SWGOMP job server — the `!$omp target` path where
-//! a team-head CPE distributes the loop to its team — and through the
-//! `workshare` array-op path (`kinetic_energy(:,:) = 0`).
+//! offload it through the SWGOMP job server — the `!$omp target` path, whose
+//! chunks Fig. 5 counts as spawned by a team-head CPE for its team — and
+//! through the `workshare` array-op path (`kinetic_energy(:,:) = 0`). The
+//! spawn counts follow the modeled 64 CPEs, whatever the host's core count.
 //!
 //! ```text
 //! cargo run --release --example swgomp_offload

@@ -19,6 +19,9 @@ cargo fmt --check
 echo "== cargo doc =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
+echo "== job-server repeat gate (pool suites x20, debug and release) =="
+./scripts/repeat_pool_suites.sh
+
 echo "== chaos suite (3 fixed fault seeds) =="
 for seed in 42 7 1234; do
     echo "-- CHAOS_SEED=$seed"

@@ -7,6 +7,7 @@
 use grist_core::{GristModel, RunConfig};
 use grist_dycore::SweSolver;
 use grist_mesh::HexMesh;
+use std::sync::atomic::{AtomicU64, Ordering};
 use sunway_sim::Substrate;
 
 fn rel_err(a: f64, b: f64) -> f64 {
@@ -110,4 +111,55 @@ fn kernel_report_covers_dycore_and_physics() {
     // And reset clears the accumulation.
     m.reset_kernel_report();
     assert!(m.kernel_report().is_empty());
+}
+
+/// Threads dispatching through clones of one CPE-teams substrate share its
+/// job server: they take turns, and every index of every dispatch runs
+/// exactly once, with kernel stats and DMA counters summing exactly.
+#[test]
+fn concurrent_dispatchers_share_one_cpe_teams_substrate() {
+    let sub = Substrate::cpe_teams(16);
+    let (threads, rounds, n) = (3usize, 100u64, 307usize);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            let sub = sub.clone();
+            s.spawn(move || {
+                let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+                for _ in 0..rounds {
+                    sub.run_with_bytes("shared_stencil", n, 8, |i| {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == rounds));
+            });
+        }
+    });
+    let dispatches = threads as u64 * rounds;
+    let m = sub.metrics();
+    assert_eq!(m.counter("substrate.dispatches"), dispatches);
+    assert_eq!(m.counter("substrate.items"), dispatches * n as u64);
+    // Chunk = ceil(307 / 64) = 5 items → 62 transactions per dispatch.
+    assert_eq!(m.counter("dma.transactions"), dispatches * 62);
+    let stats = &sub.job_server().expect("offload target").stats;
+    assert_eq!(stats.spawned_by_mpe.load(Ordering::Relaxed), dispatches);
+    assert_eq!(stats.chunks_run.load(Ordering::Relaxed), dispatches * 62);
+}
+
+/// A 64-CPE substrate runs on at most the host's cores, but chunking, DMA
+/// transactions and job stats still follow the modeled 64 CPEs.
+#[test]
+fn modeled_width_sets_chunking_on_a_narrower_host() {
+    let sub = Substrate::cpe_teams(64);
+    let server = sub.job_server().expect("offload target");
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(sub.n_cpes(), 64);
+    assert_eq!(server.host_threads(), host.min(64));
+    sub.run_with_bytes("wide", 10_000, 16, |_| {});
+    // Chunk = ceil(10000 / 256) = 40 items → 250 chunks.
+    let m = sub.metrics();
+    assert_eq!(m.counter("dma.transactions"), 250);
+    assert_eq!(m.counter("dma.bytes"), 160_000);
+    assert_eq!(server.stats.spawned_by_mpe.load(Ordering::Relaxed), 1);
+    assert_eq!(server.stats.spawned_by_cpe.load(Ordering::Relaxed), 250);
+    assert_eq!(server.stats.chunks_run.load(Ordering::Relaxed), 250);
 }
