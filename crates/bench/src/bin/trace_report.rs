@@ -25,7 +25,10 @@
 
 use grist_core::{GristModel, RunConfig};
 use grist_mesh::{HaloLayout, HexMesh, Partition};
-use grist_runtime::{exchange_gathered_chaos, halo_fault_key, run_world, VarList};
+use grist_runtime::{
+    exchange_gathered_begin, exchange_gathered_complete, halo_fault_key, run_world, HaloCtx,
+    VarList,
+};
 use sunway_sim::{
     analyze, trace, validate_chrome, EventKind, FaultPlan, FaultSite, Metrics, RooflineInputs,
     Substrate, SunwaySpec,
@@ -106,8 +109,12 @@ fn main() {
         let mut h = vec![0.0f64; n * NLEV];
         let mut list = VarList::new();
         list.push("h", NLEV, &mut h);
-        let r =
-            exchange_gathered_chaos(&mut ctx, locale, &mut list, HALO_TAG, &metrics, &halo_plan);
+        let halo = HaloCtx {
+            metrics: Some(&metrics),
+            faults: Some(&halo_plan),
+        };
+        let pending = exchange_gathered_begin(&mut ctx, locale, &list, HALO_TAG, halo);
+        let r = exchange_gathered_complete(pending, &mut ctx, locale, &mut list, halo);
         if ctx.rank == vrank {
             if r.is_ok() {
                 fail("pinned halo truncation did not surface on the victim rank");

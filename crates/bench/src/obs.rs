@@ -1,6 +1,6 @@
 //! The telemetry-plane scenario behind the `obs_report` binary and the CI
 //! `obs` job: drive the full observed stack — an ensemble advancing under
-//! [`grist_serve::run_ensemble_observed`], threaded clients hammering a
+//! [`grist_serve::run_ensemble`] with a plane, threaded clients hammering a
 //! [`grist_serve::ForecastServer`] started with an [`ObsPlane`], and a
 //! 2-rank overlapped shallow-water step feeding halo-wait stalls through
 //! [`ObsPlane::absorb_trace`] — then hold the plane to the issue's two
@@ -29,8 +29,8 @@ use grist_mesh::{HaloLayout, HexMesh, Partition};
 use grist_obs::{HistSnapshot, ObsPlane};
 use grist_runtime::run_world;
 use grist_serve::{
-    default_suite, spawn_ensemble_observed, EnsembleConfig, ForecastServer, PoolTarget, Product,
-    Query, QueryEngine, ServeConfig, SnapshotStore,
+    default_suite, spawn_ensemble, EnsembleConfig, ForecastServer, PoolTarget, Product, Query,
+    QueryEngine, ServeConfig, SnapshotStore,
 };
 use sunway_sim::{trace, Json, Metrics, Substrate};
 
@@ -200,7 +200,7 @@ pub fn run_obs_with(cfg: ObsBenchConfig) -> ObsBench {
 
     // ---- Observed ensemble + observed traffic, concurrently. ----
     let store = Arc::new(SnapshotStore::new(cfg.members, cfg.epochs + 1));
-    let ensemble = spawn_ensemble_observed::<f64>(
+    let ensemble = spawn_ensemble::<f64>(
         EnsembleConfig {
             members: cfg.members,
             rank_pools: cfg.rank_pools,
@@ -211,7 +211,7 @@ pub fn run_obs_with(cfg: ObsBenchConfig) -> ObsBench {
             target: PoolTarget::Serial,
         },
         Arc::clone(&store),
-        Arc::clone(&plane),
+        Some(Arc::clone(&plane)),
     );
     while (0..cfg.members).any(|m| store.latest(m).is_none()) {
         std::thread::yield_now();

@@ -234,7 +234,7 @@ pub fn run_serve_with(cfg: ServeBenchConfig) -> ServeBench {
     // Keep every published epoch around: the recompute verifier needs the
     // source checkpoint of whatever epoch each response was served from.
     let store = Arc::new(SnapshotStore::new(cfg.members, cfg.epochs + 1));
-    run_ensemble::<f64>(&ensemble_config(&cfg, &run), &store);
+    run_ensemble::<f64>(&ensemble_config(&cfg, &run), &store, None);
 
     let sub = Substrate::serial();
     let engine = QueryEngine::<f64>::new(
@@ -260,12 +260,12 @@ pub fn run_serve_with(cfg: ServeBenchConfig) -> ServeBench {
     let percol_s = t0.elapsed().as_secs_f64();
 
     for chunk in queries.chunks(cfg.serve_batch) {
-        engine.serve_batch(chunk); // warm-up
+        engine.serve_batch(chunk, &[]); // warm-up
     }
     let t0 = Instant::now();
     for _ in 0..cfg.iters {
         for chunk in queries.chunks(cfg.serve_batch) {
-            std::hint::black_box(engine.serve_batch(chunk));
+            std::hint::black_box(engine.serve_batch(chunk, &[]));
         }
     }
     let batched_s = t0.elapsed().as_secs_f64();
@@ -288,12 +288,16 @@ pub fn run_serve_with(cfg: ServeBenchConfig) -> ServeBench {
         },
         product: Product::Precip,
     });
-    let responses = engine.serve_batch(&verify_queries);
+    let responses = engine.serve_batch(&verify_queries, &[]);
     let verified_products = verify_against_checkpoints(&store, &run, &verify_queries, &responses);
 
     // ---- Phase B: synthetic heavy traffic against a live ensemble. ----
     let traffic_store = Arc::new(SnapshotStore::new(cfg.members, cfg.epochs + 1));
-    let ensemble = spawn_ensemble::<f64>(ensemble_config(&cfg, &run), Arc::clone(&traffic_store));
+    let ensemble = spawn_ensemble::<f64>(
+        ensemble_config(&cfg, &run),
+        Arc::clone(&traffic_store),
+        None,
+    );
     while (0..cfg.members).any(|m| traffic_store.latest(m).is_none()) {
         std::thread::yield_now();
     }
@@ -303,12 +307,13 @@ pub fn run_serve_with(cfg: ServeBenchConfig) -> ServeBench {
         Substrate::serial(),
         default_suite(run.nlev),
     ));
-    let server = Arc::new(ForecastServer::start(
+    let server = Arc::new(ForecastServer::start_with_obs(
         Arc::clone(&traffic_engine),
         ServeConfig {
             workers: cfg.workers,
             max_batch: cfg.max_batch,
         },
+        None,
     ));
     // Per-query latencies stream into the shared log-bucketed histogram
     // (grist-obs) — the same implementation the live telemetry plane uses,

@@ -13,7 +13,9 @@
 use grist_core::{GristModel, RunConfig};
 use grist_mesh::{HaloLayout, HexMesh, Partition};
 use grist_runtime::scaling::{table2_grids, weak_scaling_ladder, Scheme, SdpdModel};
-use grist_runtime::{exchange_gathered_metered, run_world, VarList};
+use grist_runtime::{
+    exchange_gathered_begin, exchange_gathered_complete, run_world, HaloCtx, VarList,
+};
 use sunway_sim::dma::{simulate_dma_batch_metered, DmaRequest};
 use sunway_sim::perf::{fig9_kernels, kernel_time_metered, ExecTarget, PerfModel};
 use sunway_sim::{Json, Metrics, MetricsSnapshot, Substrate, SunwaySpec};
@@ -85,7 +87,12 @@ pub fn run_smoke() -> Json {
             let mut list = VarList::new();
             list.push("h", SMOKE_NLEV, &mut h);
             list.push("u", SMOKE_NLEV, &mut u);
-            exchange_gathered_metered(&mut ctx, locale, &mut list, 1, metrics)
+            let halo = HaloCtx {
+                metrics: Some(metrics),
+                faults: None,
+            };
+            let pending = exchange_gathered_begin(&mut ctx, locale, &list, 1, halo);
+            exchange_gathered_complete(pending, &mut ctx, locale, &mut list, halo)
                 .expect("uniform smoke lists")
         });
     }

@@ -6,13 +6,17 @@
 //!
 //! [`VarList`] is the Rust rendering of that linked list: solvers register
 //! every field that needs fresh halos, then one [`exchange_gathered`] call
-//! packs all of them into a single message per neighbour.
+//! packs all of them into a single message per neighbour. The round is one
+//! begin/complete pair ([`exchange_gathered_begin`] packs and sends,
+//! [`exchange_gathered_complete`] receives and unpacks); a synchronous round
+//! is the pair called back to back. Metering, tracing and fault injection
+//! travel in a [`HaloCtx`].
 
 use crate::comm::RankCtx;
 use grist_mesh::RankLocale;
 use std::fmt;
 use sunway_sim::fault::{FaultPlan, FaultSite};
-use sunway_sim::trace::{self, EventKind};
+use sunway_sim::trace::{self, EventKind, Tracer};
 use sunway_sim::Metrics;
 
 /// A registered exchange variable: a full-size (global-cell-indexed) field
@@ -113,6 +117,41 @@ pub struct ExchangeReceipt {
     pub bytes_sent: u64,
 }
 
+/// The optional concerns of one gathered exchange round, passed by value to
+/// both halves of the round. The default is a bare round: no counters, no
+/// trace events, no injected faults.
+#[derive(Clone, Copy, Default)]
+pub struct HaloCtx<'a> {
+    /// Records the completed round into the registry's `halo.exchanges` /
+    /// `halo.messages` / `halo.bytes` counters (per-rank sends, so world
+    /// totals match [`crate::comm::CommStats`] for exchange-only traffic).
+    /// With the registry's tracer enabled, both halves and each blocking
+    /// receive also land on the rank's trace lane.
+    pub metrics: Option<&'a Metrics>,
+    /// Arms the chaos truncation schedule on the receive side: before each
+    /// received message is unpacked, the plan decides (keyed on
+    /// [`halo_fault_key`]) whether it was truncated in flight. An injected
+    /// truncation drops the buffer's trailing value (ticking
+    /// `fault.injected` when `metrics` is given) and surfaces through the
+    /// normal malformed-buffer detection as a typed [`ExchangeError`], so
+    /// recovery code handles it like a real size mismatch.
+    pub faults: Option<&'a FaultPlan>,
+}
+
+impl<'a> HaloCtx<'a> {
+    /// The registry's tracer when it is recording.
+    fn tracer(&self, rank: usize) -> Option<&'a Tracer> {
+        let tracer = self
+            .metrics
+            .map(Metrics::tracer)
+            .filter(|t| t.is_enabled())?;
+        // Rank threads are dedicated: declare once so every event this
+        // thread records (including model kernels) files under its lane.
+        trace::set_thread_rank(rank as u32);
+        Some(tracer)
+    }
+}
+
 fn check_buffer(
     ctx: &RankCtx,
     src: usize,
@@ -136,45 +175,16 @@ fn check_buffer(
     Ok(())
 }
 
-/// Pack one message per destination rank and send it. The send half of
-/// every exchange — synchronous rounds call it back-to-back with
-/// [`recv_and_unpack`]; the async begin/complete API splits the two around
-/// interior compute.
-fn pack_and_send(
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &VarList<'_>,
-    tag: u32,
-) -> ExchangeReceipt {
-    let per_cell = list.values_per_cell();
-    let mut receipt = ExchangeReceipt::default();
-    for (dest, cells) in &locale.send {
-        let mut buf = Vec::with_capacity(cells.len() * per_cell);
-        for &c in cells {
-            for var in &list.vars {
-                let base = c as usize * var.nlev;
-                buf.extend_from_slice(&var.data[base..base + var.nlev]);
-            }
-        }
-        receipt.messages_sent += 1;
-        receipt.bytes_sent += (buf.len() * std::mem::size_of::<f64>()) as u64;
-        ctx.send(*dest, tag, buf);
-    }
-    receipt
-}
-
 /// Receive one message per source rank (in the locale's mirrored order) and
 /// unpack it into the gather list's halo cells. Each blocking receive is
-/// traced as an [`EventKind::HaloWait`]; `plan` arms the chaos truncation
-/// schedule.
+/// traced as an [`EventKind::HaloWait`].
 fn recv_and_unpack(
     ctx: &mut RankCtx,
     locale: &RankLocale,
     list: &mut VarList<'_>,
     tag: u32,
-    tracer: Option<&trace::Tracer>,
-    metrics: Option<&Metrics>,
-    plan: Option<&FaultPlan>,
+    tracer: Option<&Tracer>,
+    halo: HaloCtx<'_>,
 ) -> Result<(), ExchangeError> {
     let per_cell = list.values_per_cell();
     for (src, cells) in &locale.recv {
@@ -189,10 +199,10 @@ fn recv_and_unpack(
                 (buf.len() * std::mem::size_of::<f64>()) as u64,
             );
         }
-        if let Some(plan) = plan {
+        if let Some(plan) = halo.faults {
             let key = halo_fault_key(ctx.rank, *src, tag);
             if plan.should_fail(FaultSite::HaloExchange, key, 0) && !buf.is_empty() {
-                if let Some(m) = metrics {
+                if let Some(m) = halo.metrics {
                     m.counter_add("fault.injected", 1);
                 }
                 buf.pop();
@@ -211,57 +221,12 @@ fn recv_and_unpack(
     Ok(())
 }
 
-/// The shared pack/send/recv/unpack core behind every gathered-exchange
-/// entry point. `metrics` turns on counter recording *and* event tracing
-/// (the round as an [`EventKind::HaloExchange`] duration event, each
-/// blocking receive as an [`EventKind::HaloWait`]); `plan` arms the chaos
-/// truncation schedule.
-fn exchange_gathered_inner(
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &mut VarList<'_>,
-    tag: u32,
-    metrics: Option<&Metrics>,
-    plan: Option<&FaultPlan>,
-) -> Result<ExchangeReceipt, ExchangeError> {
-    let tracer = metrics.map(|m| m.tracer()).filter(|t| t.is_enabled());
-    if tracer.is_some() {
-        // Rank threads are dedicated: declare once so every event this
-        // thread records (including model kernels) files under its lane.
-        trace::set_thread_rank(ctx.rank as u32);
-    }
-    let t_round = tracer.and_then(|t| t.begin());
-    let receipt = pack_and_send(ctx, locale, list, tag);
-    let recv_result = recv_and_unpack(ctx, locale, list, tag, tracer, metrics, plan);
-    // The round event is recorded on the error path too: a truncated round
-    // still spent real wall time, and its waits are already on the
-    // timeline, so omitting it would leave the analyzer's halo wait total
-    // exceeding its round total. The `halo.*` success counters below keep
-    // their error-free semantics.
-    if let (Some(t), Some(t0)) = (tracer, t_round) {
-        t.record_complete(
-            EventKind::HaloExchange,
-            "halo_exchange",
-            t0,
-            receipt.messages_sent,
-            receipt.bytes_sent,
-        );
-    }
-    recv_result?;
-    if let Some(m) = metrics {
-        m.counter_add("halo.exchanges", 1);
-        m.counter_add("halo.messages", receipt.messages_sent);
-        m.counter_add("halo.bytes", receipt.bytes_sent);
-    }
-    Ok(receipt)
-}
-
-/// An in-flight async exchange: [`exchange_gathered_begin`] has packed and
-/// sent this rank's halo messages, and the matching
+/// An in-flight exchange: [`exchange_gathered_begin`] has packed and sent
+/// this rank's halo messages, and the matching
 /// [`exchange_gathered_complete`] call has not yet received the neighbours'
 /// replies. Holds the begin-time gather-list signature so the completion
 /// can refuse to unpack into a different list.
-#[must_use = "an async exchange that is begun must be completed, or peers' messages leak into the parked queue"]
+#[must_use = "an exchange that is begun must be completed, or peers' messages leak into the parked queue"]
 pub struct PendingExchange {
     tag: u32,
     receipt: ExchangeReceipt,
@@ -280,23 +245,36 @@ impl PendingExchange {
     }
 }
 
-fn exchange_gathered_begin_inner(
+/// Begin a gathered halo exchange: pack one message per destination rank
+/// carrying every listed variable, send it, and return immediately so the
+/// caller can run halo-independent interior kernels while neighbours'
+/// messages are in flight. Pair with [`exchange_gathered_complete`] on the
+/// same gather list and an equivalent `halo` context. The pack+send half
+/// lands on the trace lane as a `halo_pack_send` event carrying the round's
+/// message/byte counts; the `halo.*` counters tick at completion.
+pub fn exchange_gathered_begin(
     ctx: &mut RankCtx,
     locale: &RankLocale,
     list: &VarList<'_>,
     tag: u32,
-    metrics: Option<&Metrics>,
+    halo: HaloCtx<'_>,
 ) -> PendingExchange {
-    let tracer = metrics.map(|m| m.tracer()).filter(|t| t.is_enabled());
-    if tracer.is_some() {
-        trace::set_thread_rank(ctx.rank as u32);
-    }
+    let tracer = halo.tracer(ctx.rank);
     let t0 = tracer.and_then(|t| t.begin());
-    let receipt = pack_and_send(ctx, locale, list, tag);
-    // The pack+send half carries the round's message/byte counts; the
-    // completion half records a zero-count HaloExchange event, so an async
-    // round's *transfer* time (total minus wait) stays comparable with a
-    // synchronous round's even though it spans two events.
+    let per_cell = list.values_per_cell();
+    let mut receipt = ExchangeReceipt::default();
+    for (dest, cells) in &locale.send {
+        let mut buf = Vec::with_capacity(cells.len() * per_cell);
+        for &c in cells {
+            for var in &list.vars {
+                let base = c as usize * var.nlev;
+                buf.extend_from_slice(&var.data[base..base + var.nlev]);
+            }
+        }
+        receipt.messages_sent += 1;
+        receipt.bytes_sent += (buf.len() * std::mem::size_of::<f64>()) as u64;
+        ctx.send(*dest, tag, buf);
+    }
     if let (Some(t), Some(t0)) = (tracer, t0) {
         t.record_complete(
             EventKind::HaloExchange,
@@ -313,41 +291,25 @@ fn exchange_gathered_begin_inner(
     }
 }
 
-/// Begin an asynchronous gathered halo exchange: pack and send this rank's
-/// halo messages, then return immediately so the caller can run
-/// halo-independent interior kernels while neighbours' messages are in
-/// flight. Pair with [`exchange_gathered_complete`] on the same gather
-/// list. The overlapped pair is bitwise-equal to one [`exchange_gathered`]
-/// call: identical messages, identical unpack order.
-pub fn exchange_gathered_begin(
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &VarList<'_>,
-    tag: u32,
-) -> PendingExchange {
-    exchange_gathered_begin_inner(ctx, locale, list, tag, None)
-}
-
-/// [`exchange_gathered_begin`] with counter/trace recording (the pack+send
-/// half lands as a `halo_pack_send` event; `halo.*` counters tick at
-/// completion so sync and async rounds count identically).
-pub fn exchange_gathered_begin_metered(
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &VarList<'_>,
-    tag: u32,
-    metrics: &Metrics,
-) -> PendingExchange {
-    exchange_gathered_begin_inner(ctx, locale, list, tag, Some(metrics))
-}
-
-fn exchange_gathered_complete_inner(
+/// Complete a gathered halo exchange begun with [`exchange_gathered_begin`]:
+/// receive one message per neighbour (in the locale's mirrored order) and
+/// unpack the halos into `list`. A received buffer whose size disagrees
+/// with the local gather list is a descriptive [`ExchangeError`] rather
+/// than a slice-index panic; on error the remaining messages of the round
+/// are left un-received, so a retry after checkpoint restore must use a
+/// fresh tag. Panics with a descriptive message if `list`'s shape differs
+/// from the one the exchange began with.
+///
+/// The receive+unpack half lands on the trace lane as a zero-count
+/// [`trace::HALO_ROUND_END`] event (recorded on the error path too: a
+/// truncated round still spent real wall time), each blocking receive as a
+/// `halo_wait` event.
+pub fn exchange_gathered_complete(
     pending: PendingExchange,
     ctx: &mut RankCtx,
     locale: &RankLocale,
     list: &mut VarList<'_>,
-    metrics: Option<&Metrics>,
-    plan: Option<&FaultPlan>,
+    halo: HaloCtx<'_>,
 ) -> Result<ExchangeReceipt, ExchangeError> {
     assert_eq!(
         pending.signature,
@@ -356,19 +318,14 @@ fn exchange_gathered_complete_inner(
          — pack read from one set of fields, unpack would land in another",
         pending.tag
     );
-    let tracer = metrics.map(|m| m.tracer()).filter(|t| t.is_enabled());
-    if tracer.is_some() {
-        trace::set_thread_rank(ctx.rank as u32);
-    }
+    let tracer = halo.tracer(ctx.rank);
     let t0 = tracer.and_then(|t| t.begin());
-    let recv_result = recv_and_unpack(ctx, locale, list, pending.tag, tracer, metrics, plan);
+    let recv_result = recv_and_unpack(ctx, locale, list, pending.tag, tracer, halo);
     if let (Some(t), Some(t0)) = (tracer, t0) {
-        // Zero counts: the round's messages/bytes were recorded by the
-        // begin half (see `exchange_gathered_begin_inner`).
-        t.record_complete(EventKind::HaloExchange, "halo_recv_unpack", t0, 0, 0);
+        t.record_complete(EventKind::HaloExchange, trace::HALO_ROUND_END, t0, 0, 0);
     }
     recv_result?;
-    if let Some(m) = metrics {
+    if let Some(m) = halo.metrics {
         m.counter_add("halo.exchanges", 1);
         m.counter_add("halo.messages", pending.receipt.messages_sent);
         m.counter_add("halo.bytes", pending.receipt.bytes_sent);
@@ -376,76 +333,17 @@ fn exchange_gathered_complete_inner(
     Ok(pending.receipt)
 }
 
-/// Complete an asynchronous gathered halo exchange begun with
-/// [`exchange_gathered_begin`]: receive one message per neighbour (in the
-/// locale's mirrored order) and unpack the halos into `list`. Panics with a
-/// descriptive message if `list`'s shape differs from the one the exchange
-/// began with.
-pub fn exchange_gathered_complete(
-    pending: PendingExchange,
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &mut VarList<'_>,
-) -> Result<ExchangeReceipt, ExchangeError> {
-    exchange_gathered_complete_inner(pending, ctx, locale, list, None, None)
-}
-
-/// [`exchange_gathered_complete`] with counter/trace recording: each
-/// blocking receive lands as a `halo_wait` event and the `halo.*` counters
-/// tick exactly as one synchronous metered round would.
-pub fn exchange_gathered_complete_metered(
-    pending: PendingExchange,
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &mut VarList<'_>,
-    metrics: &Metrics,
-) -> Result<ExchangeReceipt, ExchangeError> {
-    exchange_gathered_complete_inner(pending, ctx, locale, list, Some(metrics), None)
-}
-
-/// [`exchange_gathered_complete_metered`] under an armed [`FaultPlan`]: the
-/// same [`halo_fault_key`]-addressed truncation schedule as
-/// [`exchange_gathered_chaos`], applied at the receive side, so injected
-/// halo faults surface through the async API as the same typed
-/// [`ExchangeError`] the synchronous path reports.
-pub fn exchange_gathered_complete_chaos(
-    pending: PendingExchange,
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &mut VarList<'_>,
-    metrics: &Metrics,
-    plan: &FaultPlan,
-) -> Result<ExchangeReceipt, ExchangeError> {
-    exchange_gathered_complete_inner(pending, ctx, locale, list, Some(metrics), Some(plan))
-}
-
-/// One gathered halo exchange: a single send per neighbour carrying every
-/// listed variable, and a matching unpack of the received halos. A received
-/// buffer whose size disagrees with the local gather list is a descriptive
-/// [`ExchangeError`] rather than a slice-index panic.
+/// One synchronous gathered halo exchange with a bare [`HaloCtx`]:
+/// [`exchange_gathered_begin`] immediately followed by
+/// [`exchange_gathered_complete`].
 pub fn exchange_gathered(
     ctx: &mut RankCtx,
     locale: &RankLocale,
     list: &mut VarList<'_>,
     tag: u32,
 ) -> Result<ExchangeReceipt, ExchangeError> {
-    exchange_gathered_inner(ctx, locale, list, tag, None, None)
-}
-
-/// [`exchange_gathered`] plus counter recording: the round's message/byte
-/// totals land in the registry's `halo.exchanges` / `halo.messages` /
-/// `halo.bytes` counters (per-rank sends, so world totals match
-/// [`crate::comm::CommStats`] for exchange-only traffic). With the
-/// registry's tracer enabled, the round and each blocking receive also land
-/// on the rank's trace lane as `halo` / `halo_wait` events.
-pub fn exchange_gathered_metered(
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &mut VarList<'_>,
-    tag: u32,
-    metrics: &Metrics,
-) -> Result<ExchangeReceipt, ExchangeError> {
-    exchange_gathered_inner(ctx, locale, list, tag, Some(metrics), None)
+    let pending = exchange_gathered_begin(ctx, locale, list, tag, HaloCtx::default());
+    exchange_gathered_complete(pending, ctx, locale, list, HaloCtx::default())
 }
 
 /// Deterministic event key for the halo-exchange fault site: derived from
@@ -455,28 +353,6 @@ pub fn exchange_gathered_metered(
 /// round.
 pub fn halo_fault_key(rank: usize, src: usize, tag: u32) -> u64 {
     ((rank as u64) << 40) ^ ((src as u64) << 20) ^ tag as u64
-}
-
-/// [`exchange_gathered_metered`] under an armed [`FaultPlan`]: before each
-/// received message is unpacked, the plan decides (keyed on
-/// [`halo_fault_key`]) whether the message was truncated in flight. An
-/// injected truncation drops the buffer's trailing value and ticks the
-/// `fault.injected` counter; the damage then surfaces through the normal
-/// malformed-buffer detection as a typed [`ExchangeError`] — the same error
-/// path a real size mismatch takes, so recovery code handles both alike.
-///
-/// On error the remaining messages of the round are left un-received; a
-/// retry after checkpoint restore must use a fresh `tag` so stale parked
-/// messages cannot satisfy it.
-pub fn exchange_gathered_chaos(
-    ctx: &mut RankCtx,
-    locale: &RankLocale,
-    list: &mut VarList<'_>,
-    tag: u32,
-    metrics: &Metrics,
-    plan: &FaultPlan,
-) -> Result<ExchangeReceipt, ExchangeError> {
-    exchange_gathered_inner(ctx, locale, list, tag, Some(metrics), Some(plan))
 }
 
 /// The naive alternative (one message per variable per neighbour) for the
@@ -522,6 +398,19 @@ mod tests {
     use crate::comm::run_world;
     use grist_mesh::{HaloLayout, HexMesh, Partition};
     use std::sync::atomic::Ordering;
+
+    /// A synchronous round under `halo`: begin immediately followed by
+    /// complete.
+    fn round(
+        ctx: &mut RankCtx,
+        locale: &RankLocale,
+        list: &mut VarList<'_>,
+        tag: u32,
+        halo: HaloCtx<'_>,
+    ) -> Result<ExchangeReceipt, ExchangeError> {
+        let pending = exchange_gathered_begin(ctx, locale, list, tag, halo);
+        exchange_gathered_complete(pending, ctx, locale, list, halo)
+    }
 
     /// Each rank fills its owned cells with `f(cell, lev, var)`; after the
     /// exchange every halo cell must match the owner's values.
@@ -649,7 +538,11 @@ mod tests {
             let mut f0 = vec![0.0f64; n * 2];
             let mut list = VarList::new();
             list.push("a", 2, &mut f0);
-            let r = exchange_gathered_metered(&mut ctx, locale, &mut list, 3, &metrics)
+            let halo = HaloCtx {
+                metrics: Some(&metrics),
+                faults: None,
+            };
+            let r = round(&mut ctx, locale, &mut list, 3, halo)
                 .expect("uniform lists exchange cleanly");
             assert_eq!(metrics.counter("halo.exchanges"), 1);
             assert_eq!(metrics.counter("halo.messages"), r.messages_sent);
@@ -689,8 +582,11 @@ mod tests {
             let mut f0 = vec![1.5f64; n * 2];
             let mut list = VarList::new();
             list.push("a", 2, &mut f0);
-            let r = exchange_gathered_chaos(&mut ctx, locale, &mut list, 2, &metrics, &plan)
-                .expect("no halo faults armed");
+            let halo = HaloCtx {
+                metrics: Some(&metrics),
+                faults: Some(&plan),
+            };
+            let r = round(&mut ctx, locale, &mut list, 2, halo).expect("no halo faults armed");
             assert_eq!(metrics.counter("fault.injected"), 0);
             assert_eq!(metrics.counter("halo.exchanges"), 1);
             r.messages_sent
@@ -698,6 +594,9 @@ mod tests {
         assert!(results.iter().sum::<u64>() > 0);
     }
 
+    /// A pinned truncation fails exactly the named message, whether or not
+    /// the round is metered (a fault plan applies without a registry; the
+    /// injection is only counted with one). Cases: `(tag, metered)`.
     #[test]
     fn pinned_halo_fault_truncates_exactly_the_named_message() {
         let mesh = HexMesh::build(2);
@@ -711,28 +610,37 @@ mod tests {
             .iter()
             .find(|l| !l.recv.is_empty())
             .expect("some rank has halos");
-        let (rank, src, tag) = (victim.rank, victim.recv[0].0, 31u32);
-        let plan = FaultPlan::new(0).pin(FaultSite::HaloExchange, halo_fault_key(rank, src, tag));
-        let (results, _) = run_world(parts, |mut ctx| {
-            let metrics = sunway_sim::Metrics::default();
-            let locale = &layout.locales[ctx.rank];
-            let mut f0 = vec![2.0f64; n * 3];
-            let mut list = VarList::new();
-            list.push("a", 3, &mut f0);
-            exchange_gathered_chaos(&mut ctx, locale, &mut list, tag, &metrics, &plan).err()
-        });
-        for (r, err) in results.iter().enumerate() {
-            if r == rank {
-                let e = err.clone().expect("the pinned message must fail");
-                assert_eq!(e.src, src);
-                assert_eq!(e.tag, tag);
-                assert_eq!(
-                    e.got_values,
-                    e.expected_values - 1,
-                    "truncation drops exactly the trailing value"
-                );
-            } else {
-                assert!(err.is_none(), "rank {r} was not targeted: {err:?}");
+        for (tag, metered) in [(31u32, true), (41, true), (51, false)] {
+            let (rank, src) = (victim.rank, victim.recv[0].0);
+            let plan =
+                FaultPlan::new(0).pin(FaultSite::HaloExchange, halo_fault_key(rank, src, tag));
+            let (results, _) = run_world(parts, |mut ctx| {
+                let metrics = sunway_sim::Metrics::default();
+                let locale = &layout.locales[ctx.rank];
+                let mut f0 = vec![2.0f64; n * 3];
+                let mut list = VarList::new();
+                list.push("a", 3, &mut f0);
+                let halo = HaloCtx {
+                    metrics: metered.then_some(&metrics),
+                    faults: Some(&plan),
+                };
+                let res = round(&mut ctx, locale, &mut list, tag, halo);
+                (res.err(), metrics.counter("fault.injected"))
+            });
+            for (r, (err, injected)) in results.iter().enumerate() {
+                if r == rank {
+                    let e = err.clone().expect("the pinned message must fail");
+                    assert_eq!(e.src, src);
+                    assert_eq!(e.tag, tag);
+                    assert_eq!(
+                        e.got_values,
+                        e.expected_values - 1,
+                        "truncation drops exactly the trailing value"
+                    );
+                    assert_eq!(*injected, u64::from(metered), "tag {tag}: injection count");
+                } else {
+                    assert!(err.is_none(), "rank {r} was not targeted: {err:?}");
+                }
             }
         }
     }
@@ -758,10 +666,11 @@ mod tests {
                 let mut list = VarList::new();
                 list.push("h", nlev, &mut field);
                 if asynchronous {
-                    let pending = exchange_gathered_begin(&mut ctx, locale, &list, 17);
+                    let halo = HaloCtx::default();
+                    let pending = exchange_gathered_begin(&mut ctx, locale, &list, 17, halo);
                     // Interior compute would run here, overlapped with the
                     // in-flight messages.
-                    exchange_gathered_complete(pending, &mut ctx, locale, &mut list)
+                    exchange_gathered_complete(pending, &mut ctx, locale, &mut list, halo)
                 } else {
                     exchange_gathered(&mut ctx, locale, &mut list, 17)
                 }
@@ -794,15 +703,18 @@ mod tests {
             let mut f0 = vec![0.25f64; n * 2];
             let mut list = VarList::new();
             list.push("a", 2, &mut f0);
-            let pending = exchange_gathered_begin_metered(&mut ctx, locale, &list, 3, &metrics);
+            let halo = HaloCtx {
+                metrics: Some(&metrics),
+                faults: None,
+            };
+            let pending = exchange_gathered_begin(&mut ctx, locale, &list, 3, halo);
             assert_eq!(
                 metrics.counter("halo.exchanges"),
                 0,
                 "the round counts once, at completion"
             );
-            let r =
-                exchange_gathered_complete_metered(pending, &mut ctx, locale, &mut list, &metrics)
-                    .expect("uniform lists exchange cleanly");
+            let r = exchange_gathered_complete(pending, &mut ctx, locale, &mut list, halo)
+                .expect("uniform lists exchange cleanly");
             assert_eq!(metrics.counter("halo.exchanges"), 1);
             assert_eq!(metrics.counter("halo.messages"), r.messages_sent);
             assert_eq!(metrics.counter("halo.bytes"), r.bytes_sent);
@@ -826,11 +738,12 @@ mod tests {
                 let mut f1 = vec![0.0f64; n * 3];
                 let mut list = VarList::new();
                 list.push("a", 2, &mut f0);
-                let pending = exchange_gathered_begin(&mut ctx, locale, &list, 4);
+                let halo = HaloCtx::default();
+                let pending = exchange_gathered_begin(&mut ctx, locale, &list, 4, halo);
                 // Complete with a *different* gather list: must refuse.
                 let mut other = VarList::new();
                 other.push("b", 3, &mut f1);
-                let _ = exchange_gathered_complete(pending, &mut ctx, locale, &mut other);
+                let _ = exchange_gathered_complete(pending, &mut ctx, locale, &mut other, halo);
             })
         }))
         .expect_err("signature mismatch must panic, not corrupt fields");
@@ -839,45 +752,6 @@ mod tests {
             msg.contains("different gather list"),
             "panic must explain the misuse: {msg}"
         );
-    }
-
-    #[test]
-    fn pinned_halo_fault_surfaces_through_the_async_api() {
-        let mesh = HexMesh::build(2);
-        let parts = 3;
-        let partition = Partition::build(&mesh, parts, 2);
-        let layout = HaloLayout::build(&mesh, &partition, 1);
-        let n = mesh.n_cells();
-        let victim = layout
-            .locales
-            .iter()
-            .find(|l| !l.recv.is_empty())
-            .expect("some rank has halos");
-        let (rank, src, tag) = (victim.rank, victim.recv[0].0, 41u32);
-        let plan = FaultPlan::new(0).pin(FaultSite::HaloExchange, halo_fault_key(rank, src, tag));
-        let (results, _) = run_world(parts, |mut ctx| {
-            let metrics = sunway_sim::Metrics::default();
-            let locale = &layout.locales[ctx.rank];
-            let mut f0 = vec![2.0f64; n * 3];
-            let mut list = VarList::new();
-            list.push("a", 3, &mut f0);
-            let pending = exchange_gathered_begin_metered(&mut ctx, locale, &list, tag, &metrics);
-            let res = exchange_gathered_complete_chaos(
-                pending, &mut ctx, locale, &mut list, &metrics, &plan,
-            );
-            (res.err(), metrics.counter("fault.injected"))
-        });
-        for (r, (err, injected)) in results.iter().enumerate() {
-            if r == rank {
-                let e = err.clone().expect("the pinned message must fail");
-                assert_eq!(e.src, src);
-                assert_eq!(e.tag, tag);
-                assert_eq!(e.got_values, e.expected_values - 1);
-                assert_eq!(*injected, 1, "exactly one injected truncation");
-            } else {
-                assert!(err.is_none(), "rank {r} was not targeted: {err:?}");
-            }
-        }
     }
 
     #[test]
@@ -975,8 +849,11 @@ mod tests {
                     let mut f0 = vec![1.0f64; n * 2];
                     let mut list = VarList::new();
                     list.push("a", 2, &mut f0);
-                    let res =
-                        exchange_gathered_chaos(&mut ctx, locale, &mut list, 5, &metrics, plan);
+                    let halo = HaloCtx {
+                        metrics: Some(&metrics),
+                        faults: Some(plan),
+                    };
+                    let res = round(&mut ctx, locale, &mut list, 5, halo);
                     (res.err(), metrics.counter("fault.injected"))
                 });
                 results

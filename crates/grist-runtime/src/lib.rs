@@ -2,7 +2,8 @@
 //!
 //! The parallelization facilitation layer (§3.1.3) of the GRIST-rs
 //! reproduction: an in-process message-passing rank world (the MPI
-//! stand-in), the linked-list gathered halo exchange, the 16:3-oversubscribed
+//! stand-in), the linked-list gathered halo exchange (one begin/complete
+//! pair, with metering and fault injection in a [`HaloCtx`]), the 16:3-oversubscribed
 //! fat-tree network model, grouped parallel I/O, and the SDPD scaling
 //! projection behind Figs. 10–11.
 
@@ -19,10 +20,8 @@ pub mod scaling;
 pub use collectives::{allgather, allreduce_vec, broadcast, reduce};
 pub use comm::{run_world, CommStats, RankCtx};
 pub use exchange::{
-    exchange_gathered, exchange_gathered_begin, exchange_gathered_begin_metered,
-    exchange_gathered_chaos, exchange_gathered_complete, exchange_gathered_complete_chaos,
-    exchange_gathered_complete_metered, exchange_gathered_metered, exchange_per_variable,
-    halo_fault_key, ExchangeError, ExchangeReceipt, PendingExchange, VarList,
+    exchange_gathered, exchange_gathered_begin, exchange_gathered_complete, exchange_per_variable,
+    halo_fault_key, ExchangeError, ExchangeReceipt, HaloCtx, PendingExchange, VarList,
 };
 pub use fattree::{boundary_fraction, exchange_time, ExchangeProfile, ExchangeTime};
 pub use pio::{grouped_write, io_group, n_writers, IoGroup};

@@ -40,7 +40,7 @@ impl std::fmt::Display for ScalingError {
             ScalingError::MissingCounter { name } => write!(
                 f,
                 "metrics registry has no {name:?} counter: calibration needs a metered \
-                 multi-rank run (Substrate::*_with_metrics + exchange_gathered_metered)"
+                 multi-rank run (Substrate::*_with_metrics + an exchange with a metered HaloCtx)"
             ),
         }
     }

@@ -406,18 +406,15 @@ impl<R: Real> QueryEngine<R> {
     /// Answer a batch of queries with **one** block-batched ML dispatch for
     /// every uncached derived cell across the whole batch. Results align
     /// with `queries`.
-    pub fn serve_batch(&self, queries: &[Query]) -> Vec<Result<Response, ServeError>> {
-        self.serve_batch_traced(queries, &[])
-    }
-
-    /// [`Self::serve_batch`] carrying request-scoped flow IDs (one per
-    /// query, 0 = untraced; see `ObsPlane::mint_trace_id` in `grist-obs`).
+    ///
+    /// `trace_ids` carries request-scoped flow IDs (one per query, 0 =
+    /// untraced; see `ObsPlane::mint_trace_id` in `grist-obs`), or is empty.
     /// Each live ID gets a `FlowStep` on this worker's lane as the batch
     /// opens, and rides the thread-local flow scope into every substrate
     /// dispatch under the batch, joining the served answer to its kernel
-    /// spans in the Perfetto export. With tracing disabled or no IDs this
-    /// is byte-for-byte `serve_batch`.
-    pub fn serve_batch_traced(
+    /// spans in the Perfetto export. With tracing disabled or no IDs the
+    /// answers are byte-for-byte the same.
+    pub fn serve_batch(
         &self,
         queries: &[Query],
         trace_ids: &[u64],
@@ -630,7 +627,7 @@ mod tests {
                 Query::cell(i % 2, (i * 11) % eng.n_cells(), product)
             })
             .collect();
-        let batched = eng.serve_batch(&queries);
+        let batched = eng.serve_batch(&queries, &[]);
         for (q, b) in queries.iter().zip(&batched) {
             let one = eng.serve_one_percol(q).unwrap();
             assert_eq!(b.as_ref().unwrap(), &one, "paths must agree bitwise");
@@ -646,11 +643,11 @@ mod tests {
         let (store, mut models) = seeded_store(&cfg, 1);
         let eng = engine(&cfg, store.clone());
         let q = Query::cell(0, 5, Product::Precip);
-        let first = eng.serve_batch(std::slice::from_ref(&q));
+        let first = eng.serve_batch(std::slice::from_ref(&q), &[]);
         let m = eng.substrate().metrics();
         assert_eq!(m.counter("serve.cache.misses"), 1);
         assert_eq!(m.counter("serve.view.restores"), 1);
-        let second = eng.serve_batch(std::slice::from_ref(&q));
+        let second = eng.serve_batch(std::slice::from_ref(&q), &[]);
         assert_eq!(m.counter("serve.cache.hits"), 1, "second query is cached");
         assert_eq!(m.counter("serve.ml.cells"), 1, "no second dispatch");
         assert_eq!(first[0], second[0]);
@@ -664,7 +661,7 @@ mod tests {
             state_hash: model.state_hash(),
             checkpoint: model.checkpoint(),
         });
-        let third = eng.serve_batch(std::slice::from_ref(&q));
+        let third = eng.serve_batch(std::slice::from_ref(&q), &[]);
         assert_eq!(m.counter("serve.view.restores"), 2);
         assert_eq!(m.counter("serve.cache.misses"), 2);
         let (a, b) = (first[0].as_ref().unwrap(), third[0].as_ref().unwrap());
@@ -721,11 +718,14 @@ mod tests {
             checkpoint: model.checkpoint(),
         });
         let eng = engine(&cfg, store);
-        let out = eng.serve_batch(&[
-            Query::cell(0, 0, Product::T2m),
-            Query::cell(1, 0, Product::T2m),
-            Query::cell(9, 0, Product::T2m),
-        ]);
+        let out = eng.serve_batch(
+            &[
+                Query::cell(0, 0, Product::T2m),
+                Query::cell(1, 0, Product::T2m),
+                Query::cell(9, 0, Product::T2m),
+            ],
+            &[],
+        );
         assert!(out[0].is_ok());
         assert_eq!(out[1], Err(ServeError::NoSnapshot { member: 1 }));
         assert_eq!(
@@ -753,7 +753,7 @@ mod tests {
             checkpoint: model.checkpoint(),
         });
         let eng = engine(&cfg, store);
-        let out = eng.serve_batch(&[Query::cell(0, 0, Product::Precip)]);
+        let out = eng.serve_batch(&[Query::cell(0, 0, Product::Precip)], &[]);
         match out[0].as_ref().unwrap_err() {
             ServeError::TornView { expected, got, .. } => {
                 assert_eq!(*expected, model.state_hash() ^ 1);

@@ -101,24 +101,12 @@ fn publish_member<R: Real>(store: &SnapshotStore, member: usize, model: &GristMo
 
 /// Run the ensemble to completion on the calling thread (blocks until every
 /// pool finishes). Returns one report per rank pool.
-pub fn run_ensemble<R: Real>(cfg: &EnsembleConfig, store: &Arc<SnapshotStore>) -> Vec<RankReport> {
-    run_ensemble_inner::<R>(cfg, store, None)
-}
-
-/// [`run_ensemble`] reporting into a telemetry plane: every member advance
-/// records an epoch-advance duration, and each member samples its physics
-/// health (mass/energy drift, CFL, NaN census) into the plane's
-/// `HealthWatch` after every epoch. The integration itself is bitwise
-/// unchanged.
-pub fn run_ensemble_observed<R: Real>(
-    cfg: &EnsembleConfig,
-    store: &Arc<SnapshotStore>,
-    plane: &Arc<ObsPlane>,
-) -> Vec<RankReport> {
-    run_ensemble_inner::<R>(cfg, store, Some(plane))
-}
-
-fn run_ensemble_inner<R: Real>(
+///
+/// With a telemetry `plane`, every member advance records an epoch-advance
+/// duration, and each member samples its physics health (mass/energy
+/// drift, CFL, NaN census) into the plane's `HealthWatch` after every
+/// epoch. The integration itself is bitwise unchanged.
+pub fn run_ensemble<R: Real>(
     cfg: &EnsembleConfig,
     store: &Arc<SnapshotStore>,
     plane: Option<&Arc<ObsPlane>>,
@@ -189,22 +177,15 @@ impl EnsembleHandle {
 
 /// Run the ensemble on a background thread — the serving side queries the
 /// store while this advances, which is exactly the concurrent regime the
-/// snapshot-isolation property test exercises.
-pub fn spawn_ensemble<R: Real>(cfg: EnsembleConfig, store: Arc<SnapshotStore>) -> EnsembleHandle {
-    EnsembleHandle {
-        thread: std::thread::spawn(move || run_ensemble::<R>(&cfg, &store)),
-    }
-}
-
-/// [`spawn_ensemble`] reporting into a telemetry plane (see
-/// [`run_ensemble_observed`]).
-pub fn spawn_ensemble_observed<R: Real>(
+/// snapshot-isolation property test exercises. `plane` as in
+/// [`run_ensemble`].
+pub fn spawn_ensemble<R: Real>(
     cfg: EnsembleConfig,
     store: Arc<SnapshotStore>,
-    plane: Arc<ObsPlane>,
+    plane: Option<Arc<ObsPlane>>,
 ) -> EnsembleHandle {
     EnsembleHandle {
-        thread: std::thread::spawn(move || run_ensemble_observed::<R>(&cfg, &store, &plane)),
+        thread: std::thread::spawn(move || run_ensemble::<R>(&cfg, &store, plane.as_ref())),
     }
 }
 
@@ -227,7 +208,7 @@ mod tests {
     #[test]
     fn ensemble_publishes_every_member_every_epoch() {
         let store = Arc::new(SnapshotStore::new(3, 8));
-        let reports = run_ensemble::<f64>(&small_cfg(3, 2), &store);
+        let reports = run_ensemble::<f64>(&small_cfg(3, 2), &store, None);
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].members, vec![0, 2]);
         assert_eq!(reports[1].members, vec![1]);
@@ -251,8 +232,8 @@ mod tests {
         let store_obs = Arc::new(SnapshotStore::new(2, 8));
         let cfg = small_cfg(2, 2);
         let plane = Arc::new(ObsPlane::default());
-        run_ensemble::<f64>(&cfg, &store_plain);
-        run_ensemble_observed::<f64>(&cfg, &store_obs, &plane);
+        run_ensemble::<f64>(&cfg, &store_plain, None);
+        run_ensemble::<f64>(&cfg, &store_obs, Some(&plane));
         for member in 0..2 {
             assert_eq!(
                 store_plain.latest(member).unwrap().state_hash,
@@ -275,8 +256,8 @@ mod tests {
     fn members_diverge_but_are_reproducible() {
         let store_a = Arc::new(SnapshotStore::new(2, 8));
         let store_b = Arc::new(SnapshotStore::new(2, 8));
-        run_ensemble::<f64>(&small_cfg(2, 1), &store_a);
-        run_ensemble::<f64>(&small_cfg(2, 2), &store_b); // different sharding
+        run_ensemble::<f64>(&small_cfg(2, 1), &store_a, None);
+        run_ensemble::<f64>(&small_cfg(2, 2), &store_b, None); // different sharding
         for member in 0..2 {
             let a = store_a.latest(member).unwrap();
             let b = store_b.latest(member).unwrap();

@@ -25,12 +25,14 @@
 //!   pools via [`run_world`](grist_runtime::run_world), publishing a view
 //!   per member per epoch.
 //!
-//! The stack is instrumented for the live telemetry plane (DESIGN.md §13):
-//! [`ForecastServer::start_with_obs`] mints request-scoped trace IDs and
-//! records per-query latency / per-batch size into a shared
-//! [`ObsPlane`](grist_obs::ObsPlane), re-evaluating its SLO policy after
-//! every batch, and [`run_ensemble_observed`] streams per-epoch physics
-//! health into the same plane.
+//! The stack is instrumented for the live telemetry plane (DESIGN.md §13).
+//! Each entry point takes the plane as an optional argument rather than
+//! having an observed twin: [`ForecastServer::start_with_obs`] given a
+//! shared [`ObsPlane`](grist_obs::ObsPlane) mints request-scoped trace IDs
+//! (carried into [`QueryEngine::serve_batch`]) and records per-query
+//! latency / per-batch size, re-evaluating its SLO policy after every
+//! batch; [`run_ensemble`]/[`spawn_ensemble`] given the plane stream
+//! per-epoch physics health into it.
 
 pub mod engine;
 pub mod ensemble;
@@ -42,8 +44,7 @@ pub use engine::{
     Response, Select, ServeError,
 };
 pub use ensemble::{
-    run_ensemble, run_ensemble_observed, spawn_ensemble, spawn_ensemble_observed, EnsembleConfig,
-    EnsembleHandle, PoolTarget, RankReport,
+    run_ensemble, spawn_ensemble, EnsembleConfig, EnsembleHandle, PoolTarget, RankReport,
 };
 pub use server::{ForecastServer, PendingResponse, ServeConfig};
 pub use store::{EpochView, SnapshotStore};

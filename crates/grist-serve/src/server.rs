@@ -69,15 +69,11 @@ pub struct ForecastServer {
 }
 
 impl ForecastServer {
-    /// Start `cfg.workers` threads serving queries against `engine`.
-    pub fn start<R: Real>(engine: Arc<QueryEngine<R>>, cfg: ServeConfig) -> Self {
-        Self::start_with_obs(engine, cfg, None)
-    }
-
-    /// [`Self::start`] wired into a telemetry plane. Each submitted query
-    /// gets a minted trace ID (flow-joined to its kernels in the Perfetto
-    /// export); each served batch records its size and every member's
-    /// queue-to-answer latency, then re-evaluates the SLO policy.
+    /// Start `cfg.workers` threads serving queries against `engine`,
+    /// optionally wired into a telemetry plane. With `obs`, each submitted
+    /// query gets a minted trace ID (flow-joined to its kernels in the
+    /// Perfetto export); each served batch records its size and every
+    /// member's queue-to-answer latency, then re-evaluates the SLO policy.
     pub fn start_with_obs<R: Real>(
         engine: Arc<QueryEngine<R>>,
         cfg: ServeConfig,
@@ -114,7 +110,7 @@ impl ForecastServer {
                         }
                         let queries: Vec<Query> = batch.iter().map(|j| j.query.clone()).collect();
                         let ids: Vec<u64> = batch.iter().map(|j| j.trace_id).collect();
-                        let results = engine.serve_batch_traced(&queries, &ids);
+                        let results = engine.serve_batch(&queries, &ids);
                         served += batch.len() as u64;
                         let tracer = engine.substrate().metrics().tracer();
                         for (job, result) in batch.into_iter().zip(results) {
@@ -227,12 +223,13 @@ mod tests {
     fn concurrent_submits_all_answer_and_match_direct_serving() {
         let cfg = RunConfig::for_level(2, 6);
         let engine = served_engine(&cfg);
-        let server = ForecastServer::start(
+        let server = ForecastServer::start_with_obs(
             Arc::clone(&engine),
             ServeConfig {
                 workers: 3,
                 max_batch: 8,
             },
+            None,
         );
         let pending: Vec<(Query, PendingResponse)> = (0..40)
             .map(|i| {
@@ -325,7 +322,8 @@ mod tests {
     fn unobserved_server_mints_no_ids_and_stays_bit_identical() {
         let cfg = RunConfig::for_level(2, 6);
         let engine = served_engine(&cfg);
-        let server = ForecastServer::start(Arc::clone(&engine), ServeConfig::default());
+        let server =
+            ForecastServer::start_with_obs(Arc::clone(&engine), ServeConfig::default(), None);
         let q = Query::cell(0, 3, Product::T2m);
         let served = server.query_blocking(q.clone()).unwrap();
         assert_eq!(served, engine.serve_one_percol(&q).unwrap());
@@ -337,7 +335,7 @@ mod tests {
     fn shutdown_disconnects_cleanly() {
         let cfg = RunConfig::for_level(2, 6);
         let engine = served_engine(&cfg);
-        let server = ForecastServer::start(engine, ServeConfig::default());
+        let server = ForecastServer::start_with_obs(engine, ServeConfig::default(), None);
         let p = server.submit(Query::cell(0, 0, Product::T2m)).unwrap();
         assert!(p.wait().is_ok());
         server.shutdown();

@@ -55,8 +55,8 @@ pub use omnicopy::{
     omnicopy, stage_chunks, CopyStats, LdmArena, LdmOverflow, PipelineReport, Space,
 };
 pub use perf::{
-    fig9_kernels, fig9_table, kernel_time, kernel_time_metered, stream_hit_ratio,
-    stream_hit_ratio_metered, ExecTarget, KernelSpec, PerfModel,
+    fig9_kernels, fig9_table, kernel_time, kernel_time_metered, stream_hit_ratio, ExecTarget,
+    KernelSpec, PerfModel,
 };
 pub use substrate::{
     format_kernel_report, kernel_report_rows, ColumnsMut, DmaMode, ExecTargetKind, KernelMode,

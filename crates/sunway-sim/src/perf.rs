@@ -130,30 +130,11 @@ impl Default for PerfModel {
 }
 
 /// Measure the LDCache hit ratio of a kernel's stream pattern under an
-/// allocation policy, using the cache and allocator simulators.
+/// allocation policy, using the cache and allocator simulators. With
+/// `metrics`, the simulated cache's hit/miss/conflict-eviction totals and
+/// the allocator's lane-conflict count land in the registry (`ldcache.*`,
+/// `alloc.*`).
 pub fn stream_hit_ratio(
-    spec: &SunwaySpec,
-    arrays: usize,
-    elem_bytes: usize,
-    policy: AllocPolicy,
-) -> f64 {
-    stream_hit_ratio_inner(spec, arrays, elem_bytes, policy, None)
-}
-
-/// [`stream_hit_ratio`] with counter recording: the simulated cache's
-/// hit/miss/conflict-eviction totals and the allocator's lane-conflict
-/// count land in the metrics registry (`ldcache.*`, `alloc.*`).
-pub fn stream_hit_ratio_metered(
-    spec: &SunwaySpec,
-    arrays: usize,
-    elem_bytes: usize,
-    policy: AllocPolicy,
-    metrics: &crate::metrics::Metrics,
-) -> f64 {
-    stream_hit_ratio_inner(spec, arrays, elem_bytes, policy, Some(metrics))
-}
-
-fn stream_hit_ratio_inner(
     spec: &SunwaySpec,
     arrays: usize,
     elem_bytes: usize,
@@ -223,7 +204,7 @@ fn kernel_time_inner(
         }
         _ => {
             let compute = pts * slots_per_point / (spec.cpes_per_cg as f64 * model.cpe_sustained);
-            let hit = stream_hit_ratio_inner(spec, kernel.arrays, elem, target.policy(), metrics);
+            let hit = stream_hit_ratio(spec, kernel.arrays, elem, target.policy(), metrics);
             // A miss fetches a whole cache line; traffic per access is
             // line·(1−hit) (the streaming ideal 1−hit = elem/line recovers
             // exactly elem bytes per access).

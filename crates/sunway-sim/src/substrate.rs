@@ -329,19 +329,11 @@ impl Substrate {
         self.inner.dma_mode.store(mode.to_u8(), Ordering::Relaxed);
     }
 
-    pub fn is_offload(&self) -> bool {
-        self.inner.kind == ExecTargetKind::CpeTeams
-    }
-
     /// Modeled CPE count of the offload target (which sets chunking and DMA
     /// accounting, not the host thread count); 1 for the serial target (the
     /// MPE itself).
     pub fn n_cpes(&self) -> usize {
         self.inner.server.as_ref().map_or(1, |s| s.n_cpes)
-    }
-
-    pub fn alloc_policy(&self) -> AllocPolicy {
-        self.inner.policy
     }
 
     /// The underlying job server, if this substrate offloads.

@@ -80,7 +80,9 @@ pub enum EventKind {
     /// A modeled DMA transfer attributed to a dispatch (point event at the
     /// dispatch end; `bytes`/`items` carry payload and transaction counts).
     Dma,
-    /// One gathered halo-exchange round on a rank thread.
+    /// One half of a gathered halo-exchange round on a rank thread: the
+    /// pack+send half (`halo_pack_send`, carrying the round's message and
+    /// byte counts) or the receive+unpack half ([`HALO_ROUND_END`]).
     HaloExchange,
     /// The blocking receive of one halo message within a round.
     HaloWait,
@@ -104,6 +106,11 @@ pub enum EventKind {
     /// The flow's answer was delivered (exports as Chrome `f`).
     FlowEnd,
 }
+
+/// Name of the [`EventKind::HaloExchange`] event that closes a round (its
+/// receive+unpack half). [`analyze`] counts rounds by it, so a round traced
+/// as two halves counts once.
+pub const HALO_ROUND_END: &str = "halo_recv_unpack";
 
 impl EventKind {
     /// Chrome `cat` label (also the grouping key in reports).
@@ -940,11 +947,11 @@ pub struct KernelAttribution {
 /// Halo-exchange wait/transfer split summed over rank lanes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HaloAttribution {
-    /// Exchange rounds traced.
+    /// Exchange rounds traced (one per [`HALO_ROUND_END`] event).
     pub exchanges: u64,
     /// Individual message waits traced.
     pub waits: u64,
-    /// Total round duration.
+    /// Total round duration (both halves).
     pub total_ns: u64,
     /// Time blocked in receives.
     pub wait_ns: u64,
@@ -1019,7 +1026,7 @@ pub fn analyze(snap: &TraceSnapshot, inputs: &RooflineInputs) -> TraceReport {
                     acc.bytes += e.bytes;
                 }
                 EventKind::HaloExchange => {
-                    halo.exchanges += 1;
+                    halo.exchanges += u64::from(e.name == HALO_ROUND_END);
                     halo.total_ns += e.dur_ns;
                 }
                 EventKind::HaloWait => {
@@ -1610,7 +1617,8 @@ mod tests {
 
     #[test]
     fn analyze_attributes_kernels_halo_and_imbalance() {
-        // Rank 0: 300ns of flux + a halo round (100ns, 60ns waiting).
+        // Rank 0: 300ns of flux + a halo round (100ns over its two halves,
+        // 60ns waiting) that counts once.
         // Rank 1: 100ns of flux. Imbalance = 400 / 250 = 1.6.
         let snap = TraceSnapshot {
             lanes: vec![
@@ -1619,7 +1627,8 @@ mod tests {
                     0,
                     vec![
                         ev(EventKind::Kernel, "step/flux", 0, 300, 64, 600),
-                        ev(EventKind::HaloExchange, "halo_exchange", 300, 100, 2, 160),
+                        ev(EventKind::HaloExchange, "halo_pack_send", 300, 10, 2, 160),
+                        ev(EventKind::HaloExchange, HALO_ROUND_END, 310, 90, 0, 0),
                         ev(EventKind::HaloWait, "halo_wait<-1", 310, 60, 1, 80),
                         ev(EventKind::Fault, "fault.injected", 350, 0, 1, 0),
                     ],

@@ -10,6 +10,9 @@ cargo build --release --workspace --all-targets
 echo "== cargo test =="
 cargo test --workspace --release -q
 
+echo "== perfbench (own workspace) build + test =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -1,8 +1,9 @@
 //! Cross-crate integration tests of halo/compute overlap: the phased
 //! distributed SWE step in both [`DynStepMode`]s must be bitwise identical
-//! to each other and to a serial run, faults must surface through the async
-//! begin/complete path, a panicking rank must abort blocked peers with a
-//! descriptive error, and the `GristModel` halo hook must bracket every
+//! to each other and to a serial run, faults must surface through both
+//! modes with or without metering, traced round counts must match the
+//! `halo.exchanges` counter, a panicking rank must abort blocked peers with
+//! a descriptive error, and the `GristModel` halo hook must bracket every
 //! dyn step with a Begin/Complete pair.
 
 use grist_core::{DynStepMode, GristModel, HaloPhase, RunConfig};
@@ -10,11 +11,11 @@ use grist_dycore::swe::{williamson_tc2, SwePhases, SweSolver};
 use grist_mesh::{HaloLayout, HexMesh, Partition};
 use grist_runtime::{
     exchange_gathered, exchange_gathered_begin, exchange_gathered_complete, halo_fault_key,
-    run_world, VarList,
+    run_world, HaloCtx, VarList,
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use sunway_sim::{FaultPlan, FaultSite, Substrate};
+use sunway_sim::{analyze, FaultPlan, FaultSite, Metrics, RooflineInputs, Substrate, SunwaySpec};
 
 const LEVEL: u32 = 3;
 const DT: f64 = 400.0;
@@ -134,11 +135,15 @@ fn overlapped_step_is_bitwise_identical_across_7_ranks() {
     overlap_is_bitwise(7);
 }
 
-/// A pinned halo truncation must surface through the overlapped driver as
-/// a descriptive `ExchangeError` on the victim rank only, with the fault
-/// counted on the victim's metrics.
-#[test]
-fn pinned_halo_fault_surfaces_through_the_overlapped_driver() {
+/// Run one distributed step on 4 ranks with a halo truncation pinned on
+/// rank `victim`'s first receive, metered into each rank's substrate
+/// registry when `metered`. Returns the victim rank, its pinned source, and
+/// per rank the error's `(src, missing values)` plus `fault.injected`.
+#[allow(clippy::type_complexity)]
+fn pinned_fault_world(
+    mode: DynStepMode,
+    metered: bool,
+) -> (usize, usize, Vec<(Option<(usize, usize)>, u64)>) {
     let n_ranks = 4;
     let victim = 1;
     let mesh = HexMesh::build(2);
@@ -173,14 +178,22 @@ fn pinned_halo_fault_surfaces_through_the_overlapped_driver() {
             locale,
             &phases,
             tag,
-            DynStepMode::Overlapped,
-            Some(sub.metrics()),
+            mode,
+            metered.then(|| sub.metrics()),
             Some(plan),
         );
         let err = res.err().map(|e| (e.src, e.expected_values - e.got_values));
         (err, sub.metrics().counter("fault.injected"))
     });
+    (victim, pinned_src, results)
+}
 
+/// A pinned halo truncation must surface through the overlapped driver as
+/// a descriptive `ExchangeError` on the victim rank only, with the fault
+/// counted on the victim's metrics.
+#[test]
+fn pinned_halo_fault_surfaces_through_the_overlapped_driver() {
+    let (victim, pinned_src, results) = pinned_fault_world(DynStepMode::Overlapped, true);
     for (rank, (err, injected)) in results.into_iter().enumerate() {
         if rank == victim {
             assert_eq!(err, Some((pinned_src, 1)), "victim must see the truncation");
@@ -189,6 +202,69 @@ fn pinned_halo_fault_surfaces_through_the_overlapped_driver() {
             assert_eq!(err, None, "rank {rank} must complete cleanly");
             assert_eq!(injected, 0, "rank {rank} must inject nothing");
         }
+    }
+}
+
+/// A fault plan applies whether or not the step is metered: without a
+/// registry the victim still fails (nothing counts the injection), in both
+/// modes.
+#[test]
+fn pinned_halo_fault_applies_without_metrics_in_both_modes() {
+    for mode in [DynStepMode::Synchronous, DynStepMode::Overlapped] {
+        let (victim, pinned_src, results) = pinned_fault_world(mode, false);
+        for (rank, (err, _)) in results.into_iter().enumerate() {
+            let want = (rank == victim).then_some((pinned_src, 1));
+            assert_eq!(err, want, "{mode:?}: rank {rank}");
+        }
+    }
+}
+
+/// The trace attribution counts a round once (by its completion half), so
+/// the traced round count equals the `halo.exchanges` counter in both
+/// modes: 3 ranks x 2 steps.
+#[test]
+fn traced_round_count_equals_the_halo_counter_in_both_modes() {
+    let (n_ranks, steps) = (3, 2);
+    let mesh = HexMesh::build(2);
+    let partition = Partition::build(&mesh, n_ranks, 2);
+    let layout = HaloLayout::build(&mesh, &partition, 2);
+    for mode in [DynStepMode::Synchronous, DynStepMode::Overlapped] {
+        let metrics = Metrics::default();
+        metrics.tracer().enable();
+        run_world(n_ranks, |mut ctx| {
+            let mesh = HexMesh::build(2);
+            let locale = &layout.locales[ctx.rank];
+            let split = locale.phase_split(&mesh, 1);
+            let mut solver = SweSolver::<f64>::with_substrate(mesh, Substrate::serial());
+            let phases = SwePhases::build(&solver.mesh, &split.interior_cells);
+            let mut state = williamson_tc2::<f64>(&solver.mesh);
+            for step in 0..steps {
+                grist_core::swe_dyn_step(
+                    &mut solver,
+                    &mut state,
+                    DT,
+                    &mut ctx,
+                    locale,
+                    &phases,
+                    400 + step as u32,
+                    mode,
+                    Some(&metrics),
+                    None,
+                )
+                .expect("fault-free exchange");
+            }
+        });
+        metrics.tracer().disable();
+        let report = analyze(
+            &metrics.tracer().snapshot(),
+            &RooflineInputs::from_arch(&SunwaySpec::next_gen()),
+        );
+        assert_eq!(metrics.counter("halo.exchanges"), (n_ranks * steps) as u64);
+        assert_eq!(
+            report.halo.exchanges,
+            metrics.counter("halo.exchanges"),
+            "{mode:?}: traced rounds vs counter"
+        );
     }
 }
 
@@ -292,6 +368,7 @@ fn model_halo_hook_brackets_every_dyn_step() {
                     &locale,
                     &list,
                     500 + step,
+                    HaloCtx::default(),
                 ));
                 step += 1;
             }
@@ -304,6 +381,7 @@ fn model_halo_hook_brackets_every_dyn_step() {
                     &mut ctx,
                     &locale,
                     &mut list,
+                    HaloCtx::default(),
                 )
                 .expect("fault-free exchange");
                 m.fetch_add(receipt.messages_sent, Ordering::Relaxed);

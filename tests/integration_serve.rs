@@ -44,6 +44,7 @@ fn no_torn_reads_under_concurrent_advance<R: Real>(target: PoolTarget) {
             target,
         },
         Arc::clone(&store),
+        None,
     );
     let engine = Arc::new(QueryEngine::<R>::new(
         Arc::clone(&store),
@@ -56,12 +57,13 @@ fn no_torn_reads_under_concurrent_advance<R: Real>(target: PoolTarget) {
     while (0..MEMBERS).any(|m| store.latest(m).is_none()) {
         std::thread::yield_now();
     }
-    let server = Arc::new(ForecastServer::start(
+    let server = Arc::new(ForecastServer::start_with_obs(
         Arc::clone(&engine),
         ServeConfig {
             workers: 3,
             max_batch: 8,
         },
+        None,
     ));
     let ncells = engine.n_cells();
     let clients: Vec<std::thread::JoinHandle<Vec<Response>>> = (0..4)
