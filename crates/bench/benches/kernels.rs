@@ -11,7 +11,7 @@ use grist_dycore::{Field2, Real, SweSolver};
 use grist_mesh::{HexMesh, Vec3, EARTH_OMEGA, EARTH_RADIUS_M};
 use grist_ml::models::TendencyCnn;
 use grist_physics::{Column, ColumnPhysicsState, ConventionalSuite};
-use sunway_sim::Substrate;
+use sunway_sim::{KernelMode, Substrate};
 
 const NLEV: usize = 30;
 
@@ -105,26 +105,45 @@ fn bench_fig9_kernels(sub: &Substrate) {
     g.finish();
 }
 
+/// FCT transport at G4 in the MIX shape (f32, nlev 20: two full lane groups
+/// plus a 4-level tail), timed in both kernel modes.
 fn bench_tracer_limiter(sub: &Substrate) {
+    const FCT_NLEV: usize = 20;
     let mesh = HexMesh::build(4);
-    let geom: ScaledGeometry<f64> = ScaledGeometry::new(&mesh, EARTH_RADIUS_M, EARTH_OMEGA);
+    let geom: ScaledGeometry<f32> = ScaledGeometry::new(&mesh, EARTH_RADIUS_M, EARTH_OMEGA);
     let r2 = EARTH_RADIUS_M * EARTH_RADIUS_M;
-    let mass0 = Field2::from_fn(1, mesh.n_cells(), |_, c| 1000.0 * mesh.cell_area[c] * r2);
-    let flux = Field2::from_fn(1, mesh.n_edges(), |_, e| {
+    let mass0 = Field2::from_fn(FCT_NLEV, mesh.n_cells(), |k, c| {
+        ((1000.0 + k as f64) * mesh.cell_area[c] * r2) as f32
+    });
+    let flux = Field2::from_fn(FCT_NLEV, mesh.n_edges(), |k, e| {
         let m = mesh.edge_mid[e];
-        1000.0 * 1e-5 * EARTH_RADIUS_M * Vec3::new(0.0, 0.0, 1.0).cross(m).dot(mesh.edge_normal[e])
+        let v = Vec3::new(0.0, 0.0, 1.0).cross(m).dot(mesh.edge_normal[e]);
+        ((1000.0 + k as f64) * 1e-5 * EARTH_RADIUS_M * v) as f32
     });
-    let q0 = Field2::from_fn(1, mesh.n_cells(), |_, c| {
-        (-(mesh.cell_xyz[c].arc_dist(Vec3::new(1.0, 0.0, 0.0)) / 0.3).powi(2)).exp()
+    let q0 = Field2::from_fn(FCT_NLEV, mesh.n_cells(), |k, c| {
+        let d = mesh.cell_xyz[c].arc_dist(Vec3::new(1.0, 0.0, 0.0));
+        (-(d * d) / (0.09 + 0.01 * k as f64)).exp() as f32
     });
-    let mut ws = FctWorkspace::new(1, &mesh);
+    let mut ws = FctWorkspace::new(FCT_NLEV, &mesh);
     let mut g = Bencher::group("tracer");
-    g.bench("fct_transport_step/G4", || {
-        let mut mass = mass0.clone();
-        let mut q = q0.clone();
-        fct_transport_step(sub, &mesh, &geom, &mut mass, &flux, &mut q, 300.0, &mut ws);
-    });
+    let (ambient, mut best) = (sub.kernel_mode(), Vec::new());
+    for (label, mode) in [
+        ("scalar", KernelMode::ScalarReference),
+        ("simd", KernelMode::Simd),
+    ] {
+        sub.set_kernel_mode(mode);
+        best.push(g.bench(&format!("fct_transport_step/G4/f32/{label}"), || {
+            let mut mass = mass0.clone();
+            let mut q = q0.clone();
+            fct_transport_step(sub, &mesh, &geom, &mut mass, &flux, &mut q, 300.0, &mut ws);
+        }));
+    }
+    sub.set_kernel_mode(ambient);
     g.finish();
+    println!(
+        "fct_transport_step/G4/f32 lane speedup (scalar/simd best): {:.2}x",
+        best[0] / best[1]
+    );
 }
 
 fn bench_swe_step(sub: &Substrate) {

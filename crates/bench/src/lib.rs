@@ -94,8 +94,9 @@ impl Bencher {
         }
     }
 
-    /// Time `f`, storing best/mean seconds per iteration under `name`.
-    pub fn bench<F: FnMut()>(&mut self, name: &str, mut f: F) {
+    /// Time `f`, storing best/mean seconds per iteration under `name`;
+    /// returns the best.
+    pub fn bench<F: FnMut()>(&mut self, name: &str, mut f: F) -> f64 {
         f(); // warm-up (first call pays allocation/fault costs)
         let budget = std::time::Duration::from_millis(200);
         let started = std::time::Instant::now();
@@ -122,6 +123,7 @@ impl Bencher {
         }
         self.rows
             .push((name.to_string(), best, total / iters as f64));
+        best
     }
 
     /// Print the group's results as an aligned table (and a CSV).

@@ -12,14 +12,22 @@
 //! * explicit — the full 2×2 grid is swept in-process regardless of env,
 //!   so a local `cargo test` covers all cells too.
 //!
-//! Plus the DMA staging edge cases from the issue: empty input, one chunk,
+//! The dycore gather kernels (FCT tracer transport, the HEVI step that
+//! drives it) are swept over column heights that exercise every lane-group
+//! width, on the serial and the CPE-team targets.
+//!
+//! Plus the DMA staging edge cases: empty input, one chunk,
 //! odd chunk counts, non-divisible tails, byte-counter parity between the
 //! synchronous and double-buffered pipelines, and a mid-pipeline fault that
 //! must drain the in-flight chunk and degrade to the serial path cleanly.
 
 use grist_core::MlSuite;
+use grist_dycore::hevi::NhConfig;
 use grist_dycore::kernels as dk;
-use grist_dycore::Field2;
+use grist_dycore::operators::ScaledGeometry;
+use grist_dycore::tracer::{fct_transport_step, FctWorkspace};
+use grist_dycore::{Field2, NhSolver, Real, VerticalCoord};
+use grist_mesh::{HexMesh, Vec3, EARTH_OMEGA, EARTH_RADIUS_M};
 use grist_physics::Column;
 use sunway_sim::{
     stage_chunks, CopyStats, DmaMode, FaultPlan, FaultSite, KernelMode, LdmArena, Substrate,
@@ -152,6 +160,141 @@ fn explicit_mode_grid_is_bitwise_closed() {
                 "dycore cell ({kernel:?}, {dma:?}) diverges from the oracle"
             );
         }
+    }
+}
+
+/// Column heights covering each lane-group shape: a lone 1-wide group,
+/// 4+2+1 tails, exactly one full group, full groups plus 2+1 and 4 tails,
+/// and four full groups plus a 1-wide tail.
+const FCT_NLEVS: [usize; 6] = [1, 7, 8, 19, 20, 33];
+
+/// Bits of a field, widened to f64 (which keeps the sign of zero).
+fn bits<R: Real>(f: &Field2<R>) -> impl Iterator<Item = u64> + '_ {
+    f.as_slice().iter().map(|x| x.to_f64().to_bits())
+}
+
+/// Three FCT steps of level-dependent blobs under a solid-body flux whose
+/// direction flips part-way up the column (both upwind branches in every
+/// cell); returns the final tracer and mass as bits.
+fn fct_bits<R: Real>(sub: &Substrate, mesh: &HexMesh, nlev: usize) -> Vec<u64> {
+    let geom: ScaledGeometry<R> = ScaledGeometry::new(mesh, EARTH_RADIUS_M, EARTH_OMEGA);
+    let r2 = EARTH_RADIUS_M * EARTH_RADIUS_M;
+    let mut mass = Field2::from_fn(nlev, mesh.n_cells(), |k, c| {
+        R::from_f64((1000.0 + k as f64) * mesh.cell_area[c] * r2)
+    });
+    let flux = Field2::from_fn(nlev, mesh.n_edges(), |k, e| {
+        let v = Vec3::new(0.0, 0.0, 1.0).cross(mesh.edge_mid[e]);
+        let speed = 1e-5 * EARTH_RADIUS_M * (1.0 - 0.08 * k as f64);
+        R::from_f64(1000.0 * speed * v.dot(mesh.edge_normal[e]))
+    });
+    let mut q = Field2::from_fn(nlev, mesh.n_cells(), |k, c| {
+        let d = mesh.cell_xyz[c].arc_dist(Vec3::new(1.0, 0.0, 0.0));
+        R::from_f64((-(d * d) / (0.09 + 0.01 * k as f64)).exp())
+    });
+    let mut ws = FctWorkspace::new(nlev, mesh);
+    for _ in 0..3 {
+        fct_transport_step(sub, mesh, &geom, &mut mass, &flux, &mut q, 600.0, &mut ws);
+    }
+    bits(&q).chain(bits(&mass)).collect()
+}
+
+/// Substrates to check against the oracle: fresh ones in the ambient
+/// (env-selected) mode, then the explicit kernel-mode × target grid.
+fn gather_subs() -> Vec<(String, Substrate)> {
+    let mut subs = vec![
+        ("ambient serial".to_string(), Substrate::serial()),
+        ("ambient cpe_teams".to_string(), Substrate::cpe_teams(4)),
+    ];
+    for kernel in [KernelMode::ScalarReference, KernelMode::Simd] {
+        for (target, sub) in [
+            ("serial", Substrate::serial()),
+            ("cpe_teams", Substrate::cpe_teams(4)),
+        ] {
+            sub.set_kernel_mode(kernel);
+            subs.push((format!("{kernel:?} {target}"), sub));
+        }
+    }
+    subs
+}
+
+#[test]
+fn fct_transport_matches_the_scalar_oracle_at_every_lane_shape() {
+    let mesh = HexMesh::build(2);
+    let subs = gather_subs();
+    for nlev in FCT_NLEVS {
+        let want32 = fct_bits::<f32>(&oracle_sub(), &mesh, nlev);
+        let want64 = fct_bits::<f64>(&oracle_sub(), &mesh, nlev);
+        for (label, sub) in &subs {
+            assert!(
+                fct_bits::<f32>(sub, &mesh, nlev) == want32,
+                "f32 FCT on {label} at nlev {nlev} diverges from the scalar oracle"
+            );
+            assert!(
+                fct_bits::<f64>(sub, &mesh, nlev) == want64,
+                "f64 FCT on {label} at nlev {nlev} diverges from the scalar oracle"
+            );
+        }
+    }
+}
+
+/// One full HEVI step at G3 with three tracers and a moving, perturbed
+/// state; returns every prognostic field as bits.
+fn nh_step_bits<R: Real>(sub: &Substrate) -> Vec<u64> {
+    let nlev = 20;
+    let config = NhConfig {
+        ntracers: 3,
+        ..NhConfig::default()
+    };
+    let mut s = NhSolver::<R>::with_substrate(
+        HexMesh::build(3),
+        VerticalCoord::uniform(nlev),
+        config,
+        sub.clone(),
+    );
+    let mut st = s.isothermal_rest_state(290.0, 1.0e5);
+    for e in 0..s.mesh.n_edges() {
+        let m = s.mesh.edge_mid[e];
+        let zonal = Vec3::new(0.0, 0.0, 1.0).cross(m).dot(s.mesh.edge_normal[e]);
+        for k in 0..nlev {
+            let jet = 15.0 * (2.0 * m.lat()).cos().powi(2) * (1.0 - 0.1 * k as f64);
+            st.u.set(k, e, R::from_f64(jet * zonal));
+        }
+    }
+    for k in 12..nlev {
+        let dpi = st.dpi.at(k, 0);
+        st.theta_m.set(k, 0, st.theta_m.at(k, 0) + dpi * 3.0);
+    }
+    for (i, q) in st.tracers.iter_mut().enumerate() {
+        *q = Field2::from_fn(nlev, s.mesh.n_cells(), |k, c| {
+            let d = s.mesh.cell_xyz[c].arc_dist(Vec3::new(0.0, 1.0, 0.0));
+            R::from_f64(1e-3 * (i + 1) as f64 * (-(d * d) / (0.1 + 0.01 * k as f64)).exp())
+        });
+    }
+    s.step(&mut st, 120.0);
+    let mut out: Vec<u64> = [&st.dpi, &st.theta_m, &st.w, &st.phi]
+        .into_iter()
+        .flat_map(bits)
+        .collect();
+    out.extend(bits(&st.u));
+    for q in &st.tracers {
+        out.extend(bits(q));
+    }
+    out
+}
+
+#[test]
+fn nh_step_with_tracers_matches_the_scalar_oracle() {
+    let want32 = nh_step_bits::<f32>(&oracle_sub());
+    let want64 = nh_step_bits::<f64>(&oracle_sub());
+    for (label, sub) in gather_subs() {
+        assert!(
+            nh_step_bits::<f32>(&sub) == want32,
+            "f32 NhSolver::step on {label} diverges from the scalar oracle"
+        );
+        assert!(
+            nh_step_bits::<f64>(&sub) == want64,
+            "f64 NhSolver::step on {label} diverges from the scalar oracle"
+        );
     }
 }
 

@@ -36,6 +36,13 @@ use crate::vertical::{thomas_solve, VerticalCoord};
 use grist_mesh::{HexMesh, EARTH_OMEGA, EARTH_RADIUS_M};
 use sunway_sim::{ColumnsMut, Substrate};
 
+thread_local! {
+    /// Per-worker scratch for the `hevi_implicit_vertical` column solves:
+    /// six `nlev`-long rows, grown once per thread and reused by every later
+    /// column (and step) that thread runs.
+    static COLUMN_SCRATCH: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
 /// Prognostic state of the nonhydrostatic core.
 ///
 /// Layer fields have `nlev` levels; interface fields have `nlev + 1`
@@ -137,6 +144,8 @@ pub struct NhSolver<R: Real> {
     mdot: Field2<f64>,
     fct_ws: Option<FctWorkspace<R>>,
     tracer_mass: Field2<R>,
+    /// Per-tracer working copy of `tracer_mass`, which FCT updates in place.
+    fct_mass: Field2<R>,
     tracer_flux: Field2<R>,
 }
 
@@ -183,6 +192,7 @@ impl<R: Real> NhSolver<R> {
             mdot: Field2::zeros(nlev + 1, nc),
             fct_ws: Some(FctWorkspace::new(nlev, &mesh)),
             tracer_mass: Field2::zeros(nlev, nc),
+            fct_mass: Field2::zeros(nlev, nc),
             tracer_flux: Field2::zeros(nlev, ne),
             mesh,
             vc,
@@ -477,12 +487,13 @@ impl<R: Real> NhSolver<R> {
             }
             let mut ws = self.fct_ws.take().expect("FCT workspace");
             for q in &mut state.tracers {
-                let mut mass = self.tracer_mass.clone();
+                // Each tracer starts from the same pre-transport mass.
+                self.fct_mass.copy_from(&self.tracer_mass);
                 fct_transport_step(
                     &sub,
                     &self.mesh,
                     &self.geom,
-                    &mut mass,
+                    &mut self.fct_mass,
                     &self.tracer_flux,
                     q,
                     dt,
@@ -518,18 +529,19 @@ impl<R: Real> NhSolver<R> {
                 let dp = dphi.col(c);
                 // Linearization coefficients C_k = γ p_k Δt g / δφ_k
                 // (δφ responds with the *full* Δt; β enters through the
-                // pressure off-centering below).
-                let mut cc = vec![0.0f64; nlev];
+                // pressure off-centering below). Unknowns w_i,
+                // i = 0..nlev-1 (w_nlev = 0 at the flat surface). Every
+                // scratch element is written before it is read.
+                let n = nlev;
+                let mut buf = COLUMN_SCRATCH.take();
+                buf.resize(6 * n, 0.0);
+                let [cc, a, b, cvec, d, scratch]: [&mut [f64]; 6] = {
+                    let mut parts = buf.chunks_exact_mut(n);
+                    std::array::from_fn(|_| parts.next().expect("six scratch rows"))
+                };
                 for k in 0..nlev {
                     cc[k] = gamma * p[k] * dt * g / dp[k];
                 }
-                // Unknowns w_i, i = 0..nlev-1 (w_nlev = 0 at the flat surface).
-                let n = nlev;
-                let mut a = vec![0.0f64; n];
-                let mut b = vec![0.0f64; n];
-                let mut cvec = vec![0.0f64; n];
-                let mut d = vec![0.0f64; n];
-                let mut scratch = vec![0.0f64; n];
                 for i in 0..n {
                     let dpi_half = if i == 0 {
                         0.5 * dpi[0]
@@ -544,13 +556,14 @@ impl<R: Real> NhSolver<R> {
                     cvec[i] = -fac * cc[i]; // couples to w_{i+1}; w_n = 0
                     d[i] = w[i] + dt * g * ((p[i] - p_above) / dpi_half - 1.0);
                 }
-                thomas_solve(&a, &b, &cvec, &mut d, &mut scratch);
-                w[..n].copy_from_slice(&d[..n]);
+                thomas_solve(a, b, cvec, d, scratch);
+                w[..n].copy_from_slice(d);
                 for i in 0..n {
                     phi[i] += dt * g * d[i];
                 }
                 // Surface: rigid flat lower boundary.
                 w[n] = 0.0;
+                COLUMN_SCRATCH.set(buf);
             }
         });
     }

@@ -28,7 +28,7 @@ pub use cfl::{cfl_report, max_acoustic_dt, CflReport};
 pub use energetics::{energy_budget, EnergyBudget};
 pub use field::{Field1, Field2};
 pub use hevi::{NhSolver, NhState};
-pub use lanes::{lane_body, LaneVec, LANE_WIDTH};
+pub use lanes::{lane_body, LaneGroup, LaneVec, LANE_WIDTH};
 pub use operators::ScaledGeometry;
 pub use real::{relative_l2_error, PrecisionMode, Real, MIXED_PRECISION_ERROR_THRESHOLD};
 pub use swe::{SwePhases, SweSolver, SweState, SweSubset};

@@ -9,10 +9,14 @@
 //! mixed-precision build streams 4-byte geometry exactly as the Sunway port
 //! does after its initialization-time conversion (§3.4.3).
 
+use std::ops::{Add, Mul};
+
 use crate::field::Field2;
+use crate::for_lane_groups;
+use crate::lanes::LaneGroup;
 use crate::real::Real;
 use grist_mesh::{HexMesh, Vec3};
-use sunway_sim::{ColumnsMut, Substrate};
+use sunway_sim::{ColumnsMut, KernelMode, Substrate};
 
 /// Physical metric terms cast to the working precision `R`.
 ///
@@ -438,6 +442,7 @@ pub fn vert_velocity_on<R: Real>(
     verts: Option<&[u32]>,
 ) {
     let nlev = u_edge.nlev();
+    let lanes = sub.kernel_mode() == KernelMode::Simd;
     let cols_e = ColumnsMut::new(out_e.as_mut_slice(), nlev);
     let cols_n = ColumnsMut::new(out_n.as_mut_slice(), nlev);
     run_on(sub, "vert_velocity", cols_e.len(), verts, |v| {
@@ -445,6 +450,23 @@ pub fn vert_velocity_on<R: Real>(
         let ce = unsafe { cols_e.col(v) };
         let cn = unsafe { cols_n.col(v) };
         let rc = &geom.vert_recon[v];
+        if lanes {
+            // Edge-outer level groups: each level's two accumulators take
+            // the three edges in the scalar loop's order (below).
+            for_lane_groups!(nlev, |k, W| {
+                let mut be = LaneGroup::<R, W>::splat(R::ZERO);
+                let mut bn = be;
+                for (&e, n) in mesh.vert_edges[v].iter().zip(&rc.normals) {
+                    let u = LaneGroup::load_col(u_edge, e as usize, k);
+                    be = u.mul_add(LaneGroup::splat(n[0]), be);
+                    bn = u.mul_add(LaneGroup::splat(n[1]), bn);
+                }
+                let m = rc.minv.map(|row| row.map(LaneGroup::<R, W>::splat));
+                m[0][0].mul(be).add(m[0][1].mul(bn)).store(&mut ce[k..]);
+                m[1][0].mul(be).add(m[1][1].mul(bn)).store(&mut cn[k..]);
+            });
+            return;
+        }
         for lev in 0..nlev {
             let mut be = R::ZERO;
             let mut bn = R::ZERO;
@@ -772,5 +794,43 @@ mod tests {
         // f32 gradient of a ~1e3-magnitude field over ~1e5 m edges loses some
         // digits to cancellation but stays far below the 5% gate.
         assert!(err < 1e-3, "f32/f64 gradient deviation {err}");
+    }
+
+    /// `vert_velocity` output in `mode`, as bit patterns (widened to f64,
+    /// which keeps the sign of zero).
+    fn vert_velocity_in<R: Real>(mesh: &HexMesh, mode: KernelMode, nlev: usize) -> Vec<u64> {
+        let geom: ScaledGeometry<R> = ScaledGeometry::new(mesh, EARTH_RADIUS_M, EARTH_OMEGA);
+        let u = Field2::from_fn(nlev, mesh.n_edges(), |k, e| {
+            R::from_f64(((e * 7 + k * 3) % 23) as f64 * 0.37 - 4.1)
+        });
+        let s = sub();
+        s.set_kernel_mode(mode);
+        let mut ve = Field2::zeros(nlev, mesh.n_verts());
+        let mut vn = Field2::zeros(nlev, mesh.n_verts());
+        vert_velocity(&s, mesh, &geom, &u, &mut ve, &mut vn);
+        ve.as_slice()
+            .iter()
+            .chain(vn.as_slice())
+            .map(|x| x.to_f64().to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn lane_vert_velocity_matches_scalar_reference_bitwise() {
+        // Lane groups of 8, 4, 2 and 1 levels, alone and combined.
+        let mesh = HexMesh::build(3);
+        for nlev in [1, 2, 4, 7, 8, 15, 20] {
+            let (scalar, simd) = (KernelMode::ScalarReference, KernelMode::Simd);
+            assert_eq!(
+                vert_velocity_in::<f32>(&mesh, simd, nlev),
+                vert_velocity_in::<f32>(&mesh, scalar, nlev),
+                "f32 nlev {nlev}"
+            );
+            assert_eq!(
+                vert_velocity_in::<f64>(&mesh, simd, nlev),
+                vert_velocity_in::<f64>(&mesh, scalar, nlev),
+                "f64 nlev {nlev}"
+            );
+        }
     }
 }

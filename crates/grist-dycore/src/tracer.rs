@@ -13,11 +13,22 @@
 //! `M_i = δπ_i A_i` and per-step edge transports `T_e = Δt F_e ℓ_e`
 //! (positive from `edge_cells[e][0]` to `edge_cells[e][1]`), which makes
 //! conservation exact by construction.
+//!
+//! **Kernel modes.** Under `KernelMode::ScalarReference` every kernel runs
+//! its level-outer scalar loop — the bitwise oracle. Under
+//! `KernelMode::Simd` the two edge kernels (`fct_transport`,
+//! `fct_antidiffusive`) are pointwise [`LaneVec`] loops, and the three
+//! cell-gather kernels (`fct_loworder`, `fct_limiter`, `fct_apply`) run
+//! edge-outer over level groups ([`for_lane_groups!`]): each group reads
+//! one contiguous slice per neighbour column, and each level's accumulator
+//! takes the edges in the oracle's order with its expression tree, so both
+//! modes agree bit for bit (see `crate::lanes`).
 
-use std::ops::{Add, Mul, Sub};
+use std::ops::{Add, Div, Mul, Sub};
 
 use crate::field::Field2;
-use crate::lanes::{lane_body, LaneVec, LANE_WIDTH};
+use crate::for_lane_groups;
+use crate::lanes::{lane_body, LaneGroup, LaneVec, LANE_WIDTH};
 use crate::operators::ScaledGeometry;
 use crate::real::Real;
 use grist_mesh::HexMesh;
@@ -108,6 +119,40 @@ pub fn fct_transport_step<R: Real>(
             let qtd = unsafe { qtd_cols.col(c) };
             let mnew = unsafe { mnew_cols.col(c) };
             let rng = mesh.cell_edges.row_range(c);
+            if lanes {
+                // Edge-outer: each level group walks the cell's edges once;
+                // per level, the same accumulation order and expression
+                // tree as the scalar loop below.
+                let edges = mesh.cell_edges.row(c);
+                let signs = &geom.cell_edge_sign[rng];
+                for_lane_groups!(nlev, |k, W| {
+                    let m_old = LaneGroup::<R, W>::load_col(mass_ro, c, k);
+                    let mut m = m_old;
+                    let mut mq = m_old.mul(LaneGroup::load_col(q_ro, c, k));
+                    for (&e, &s) in edges.iter().zip(signs) {
+                        let t = LaneGroup::load_col(transport, e as usize, k);
+                        let [c1, c2] = mesh.edge_cells[e as usize];
+                        let q_up = LaneGroup::select_ge_zero(
+                            t,
+                            LaneGroup::load_col(q_ro, c1 as usize, k),
+                            LaneGroup::load_col(q_ro, c2 as usize, k),
+                        );
+                        let st = LaneGroup::splat(s).mul(t);
+                        m = m.sub(st);
+                        mq = mq.sub(st.mul(q_up));
+                    }
+                    for (l, &ml) in m.0.iter().enumerate() {
+                        debug_assert!(
+                            ml > R::ZERO,
+                            "FCT: cell {c} lev {} emptied — CFL violated",
+                            k + l
+                        );
+                    }
+                    m.store(&mut mnew[k..]);
+                    mq.div(m).store(&mut qtd[k..]);
+                });
+                return;
+            }
             for lev in 0..nlev {
                 let m_old = mass_ro.at(lev, c);
                 let mut m = m_old;
@@ -178,6 +223,42 @@ pub fn fct_transport_step<R: Real>(
             let rp = unsafe { rp_cols.col(c) };
             let rm = unsafe { rm_cols.col(c) };
             let rng = mesh.cell_edges.row_range(c);
+            if lanes {
+                // Edge-outer level groups; the branches of the scalar loop
+                // below become per-lane selects.
+                let edges = mesh.cell_edges.row(c);
+                let signs = &geom.cell_edge_sign[rng];
+                for_lane_groups!(nlev, |k, W| {
+                    let (zero, one) = (LaneGroup::splat(R::ZERO), LaneGroup::splat(R::ONE));
+                    let qtd_c = LaneGroup::<R, W>::load_col(q_td, c, k);
+                    let q_c = LaneGroup::load_col(q_ro, c, k);
+                    let mut qmax = qtd_c.max(q_c);
+                    let mut qmin = qtd_c.min(q_c);
+                    for &nb in mesh.cell_neighbors.row(c) {
+                        let qtd_nb = LaneGroup::load_col(q_td, nb as usize, k);
+                        let q_nb = LaneGroup::load_col(q_ro, nb as usize, k);
+                        qmax = qmax.max(qtd_nb).max(q_nb);
+                        qmin = qmin.min(qtd_nb).min(q_nb);
+                    }
+                    let mut p_plus = zero;
+                    let mut p_minus = zero;
+                    let incoming = |x: R| x < R::ZERO;
+                    for (&e, &s) in edges.iter().zip(signs) {
+                        let a = LaneGroup::splat(s).mul(LaneGroup::load_col(anti, e as usize, k));
+                        p_plus = LaneGroup::select_if(a, incoming, p_plus.sub(a), p_plus);
+                        p_minus = LaneGroup::select_if(a, incoming, p_minus, p_minus.add(a));
+                    }
+                    let m = LaneGroup::load_col(mass_new, c, k);
+                    let q_plus = qmax.sub(qtd_c).mul(m);
+                    let q_minus = qtd_c.sub(qmin).mul(m);
+                    let admissible = |x: R| x > tiny;
+                    LaneGroup::select_if(p_plus, admissible, q_plus.div(p_plus).min(one), zero)
+                        .store(&mut rp[k..]);
+                    LaneGroup::select_if(p_minus, admissible, q_minus.div(p_minus).min(one), zero)
+                        .store(&mut rm[k..]);
+                });
+                return;
+            }
             for lev in 0..nlev {
                 // Admissible bounds: extrema of q_td and q_old over the cell
                 // and its neighbours.
@@ -230,6 +311,32 @@ pub fn fct_transport_step<R: Real>(
             let qc = unsafe { q_cols.col(c) };
             let mc = unsafe { m_cols.col(c) };
             let rng = mesh.cell_edges.row_range(c);
+            if lanes {
+                // Edge-outer level groups; the upwind coefficient choice of
+                // the scalar loop below becomes a per-lane select.
+                let edges = mesh.cell_edges.row(c);
+                let signs = &geom.cell_edge_sign[rng];
+                for_lane_groups!(nlev, |k, W| {
+                    let m = LaneGroup::<R, W>::load_col(mass_new, c, k);
+                    let mut mq = LaneGroup::load_col(q_td, c, k).mul(m);
+                    for (&e, &s) in edges.iter().zip(signs) {
+                        let a = LaneGroup::load_col(anti, e as usize, k);
+                        let [c1, c2] = mesh.edge_cells[e as usize];
+                        let (c1, c2) = (c1 as usize, c2 as usize);
+                        let coef = LaneGroup::select_ge_zero(
+                            a,
+                            LaneGroup::load_col(r_minus, c1, k)
+                                .min(LaneGroup::load_col(r_plus, c2, k)),
+                            LaneGroup::load_col(r_plus, c1, k)
+                                .min(LaneGroup::load_col(r_minus, c2, k)),
+                        );
+                        mq = mq.sub(LaneGroup::splat(s).mul(coef).mul(a));
+                    }
+                    mq.div(m).store(&mut qc[k..]);
+                    m.store(&mut mc[k..]);
+                });
+                return;
+            }
             for lev in 0..nlev {
                 let m = mass_new.at(lev, c);
                 let mut mq = q_td.at(lev, c) * m;
@@ -420,7 +527,7 @@ mod tests {
 
     #[test]
     fn lane_fct_step_matches_scalar_reference_bitwise() {
-        // nlev = 11: one full lane group + a 3-level scalar tail.
+        // nlev = 11: one full lane group + 2- and 1-wide tail groups.
         let (mesh, geom) = setup(3);
         let nlev = 11;
         let mk_mass = |_: ()| {
@@ -455,6 +562,41 @@ mod tests {
         }
         assert_eq!(q_s.as_slice(), q_v.as_slice(), "FCT q diverged");
         assert_eq!(m_s.as_slice(), m_v.as_slice(), "FCT mass diverged");
+    }
+
+    /// One FCT step whose level 5 — inside the first full lane group —
+    /// carries a strongly divergent flux that empties cells; every other
+    /// level stays well inside the CFL limit.
+    #[cfg(debug_assertions)]
+    fn cfl_violating_step(mode: sunway_sim::KernelMode) {
+        let (mesh, geom) = setup(3);
+        let nlev = 11;
+        let mut mass = Field2::from_fn(nlev, mesh.n_cells(), |_, c| {
+            1000.0 * mesh.cell_area[c] * EARTH_RADIUS_M * EARTH_RADIUS_M
+        });
+        let flux = Field2::from_fn(nlev, mesh.n_edges(), |k, e| {
+            let speed = if k == 5 { 1e6 } else { 1.0 };
+            1000.0 * speed * mesh.edge_normal[e].dot(Vec3::new(1.0, 0.0, 0.0))
+        });
+        let mut q = Field2::constant(nlev, mesh.n_cells(), 0.5);
+        let mut ws = FctWorkspace::new(nlev, &mesh);
+        let s = sub();
+        s.set_kernel_mode(mode);
+        fct_transport_step(&s, &mesh, &geom, &mut mass, &flux, &mut q, 600.0, &mut ws);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lev 5 emptied — CFL violated")]
+    fn cfl_violation_panics_on_the_scalar_path() {
+        cfl_violating_step(sunway_sim::KernelMode::ScalarReference);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lev 5 emptied — CFL violated")]
+    fn cfl_violation_panics_on_the_lane_path() {
+        cfl_violating_step(sunway_sim::KernelMode::Simd);
     }
 
     #[test]
